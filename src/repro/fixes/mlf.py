@@ -14,6 +14,11 @@ is unique per ``(t, ic, A)``, and Definition 2.8 constructs it:
 Locality condition (c) guarantees the two cases never mix for one flexible
 attribute, so every attribute has one global fix direction and fixes
 compose monotonically (moving further never re-satisfies a falsified atom).
+
+:func:`mono_local_fix` and :func:`solved_violations` state the definitions
+tuple by tuple.  :func:`fix_descriptors` compiles the same construction
+once per ``(constraint, relation)``: the repair reduction reads fixes and
+the closed-form ``S(t, t′)`` test off the descriptors instead.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Iterable, Sequence
 from repro.constraints.atoms import Comparator
 from repro.constraints.denial import DenialConstraint
 from repro.exceptions import LocalityError
-from repro.model.schema import Schema
+from repro.model.schema import Relation, Schema
 from repro.model.tuples import Tuple, TupleRef
 from repro.obs import current_tracer
 from repro.violations.detector import ViolationSet
@@ -129,6 +134,139 @@ def solved_violations(
     return tuple(solved)
 
 
+class FixDescriptor:
+    """Definition 2.8 compiled for one (constraint, relation, flexible attribute).
+
+    ``MLF(t, ic, A)`` depends on ``t`` only through ``t[A]``: the fix
+    moves ``A`` to ``bound`` - upward (``A < cᵢ``, case (a)) or downward
+    (``A > cᵢ``, case (b)) - when that moves it at all.  ``conflict`` holds
+    the :class:`LocalityError` message when ``A`` occurs in both
+    directions (non-local input), raised when a fix is asked for.
+
+    ``closed_form`` marks when ``S(t, t′)`` needs no substitution: the
+    constraint names the relation in exactly one atom, and the variable
+    at ``A`` occurs nowhere else and in no variable comparison.  A
+    violation set of the constraint containing ``t`` is then solved by
+    ``t[A] := v`` exactly when some built-in on ``A`` fails at ``v``
+    (:meth:`solved_at`; ``builtins`` are those built-ins, normalized).
+    """
+
+    __slots__ = (
+        "attribute",
+        "position",
+        "alpha",
+        "bound",
+        "upward",
+        "conflict",
+        "builtins",
+        "closed_form",
+        "_equal",
+        "_unequal",
+    )
+
+    def __init__(
+        self,
+        constraint: DenialConstraint,
+        relation: Relation,
+        position: int,
+    ) -> None:
+        attribute = relation.attributes[position]
+        self.attribute = attribute.name
+        self.position = position
+        self.alpha = float(attribute.weight)
+        atoms = [
+            atom
+            for atom in constraint.relation_atoms
+            if atom.relation_name == relation.name
+        ]
+        variables = {
+            atom.variables[position]
+            for atom in atoms
+            if position < len(atom.variables)
+        }
+        self.builtins = tuple(
+            normalized
+            for builtin in constraint.builtins
+            if builtin.variable in variables
+            for normalized in builtin.normalized()
+        )
+        by_comparator: dict[Comparator, list[int]] = {c: [] for c in Comparator}
+        for builtin in self.builtins:
+            by_comparator[builtin.comparator].append(builtin.constant)
+        lt_bounds, gt_bounds = by_comparator[Comparator.LT], by_comparator[Comparator.GT]
+        self.conflict: str | None = None
+        if lt_bounds and gt_bounds:
+            self.conflict = (
+                f"{constraint.label}: attribute {relation.name}.{attribute.name} "
+                "occurs in both '<' and '>' comparisons; the constraint is not local"
+            )
+        self.upward = bool(lt_bounds)
+        self.bound: int | None = (
+            min(lt_bounds) if lt_bounds else max(gt_bounds) if gt_bounds else None
+        )
+        compared = {
+            variable
+            for comparison in constraint.variable_comparisons
+            for variable in (comparison.left, comparison.right)
+        }
+        self.closed_form = (
+            len(atoms) == 1
+            and len(variables) == 1
+            and len(constraint.occurrences(next(iter(variables)))) == 1
+            and not variables & compared
+        )
+        self._equal = frozenset(by_comparator[Comparator.EQ])
+        self._unequal = frozenset(by_comparator[Comparator.NE])
+
+    def fix(self, value: int) -> int | None:
+        """``MLF(t, ic, A)[A]`` for ``t[A] = value``; ``None``: no fix."""
+        if self.conflict is not None:
+            raise LocalityError(self.conflict)
+        bound = self.bound
+        if bound is None:
+            return None
+        if bound > value if self.upward else bound < value:
+            return bound
+        return None
+
+    def solved_at(self, value: int) -> bool:
+        """Closed-form ``S(t, t′)`` membership: a built-in on ``A`` fails.
+
+        Only meaningful when :attr:`closed_form` holds and there is no
+        ``conflict`` (the order built-ins then all point one way, and
+        ``bound`` is the tightest of them).
+        """
+        bound = self.bound
+        if bound is not None and (value >= bound if self.upward else value <= bound):
+            return True
+        if value in self._unequal:
+            return True
+        return any(value != constant for constant in self._equal)
+
+
+def fix_descriptors(
+    constraint: DenialConstraint, relation: Relation
+) -> dict[str, FixDescriptor]:
+    """The :class:`FixDescriptor` of every flexible attribute of ``relation``.
+
+    Keyed by attribute name, in declaration order (Algorithm 3's loop
+    order).  Memoized on the constraint per relation, so repeated
+    reductions (incremental commit rounds) compile once.
+    """
+    cache = constraint.__dict__.get("_fix_descriptors")
+    if cache is None:
+        cache = {}
+        object.__setattr__(constraint, "_fix_descriptors", cache)
+    descriptors = cache.get(relation)
+    if descriptors is None:
+        descriptors = cache[relation] = {
+            attribute.name: FixDescriptor(constraint, relation, position)
+            for position, attribute in enumerate(relation.attributes)
+            if attribute.is_flexible
+        }
+    return descriptors
+
+
 @dataclass(frozen=True)
 class FixCandidate:
     """A weighted mono-local fix - one *set* of the MWSCP (Definition 3.1(b)).
@@ -137,8 +275,8 @@ class FixCandidate:
     ----------
     ref:
         Identity of the tuple being fixed.
-    old, new:
-        The original tuple and its mono-local fix ``t′``.
+    old:
+        The original tuple (its mono-local fix ``t′`` is :attr:`new`).
     attribute:
         The single attribute the fix updates.
     new_value:
@@ -157,12 +295,16 @@ class FixCandidate:
 
     ref: TupleRef
     old: Tuple
-    new: Tuple
     attribute: str
     new_value: int
     weight: float
     solves: tuple[int, ...]
     sources: tuple[str, ...] = ()
+
+    @property
+    def new(self) -> Tuple:
+        """The mono-local fix ``t′``: ``old`` with the one cell replaced."""
+        return self.old.replace({self.attribute: self.new_value})
 
     def describe(self) -> str:
         """One-line human-readable description of the update."""
@@ -171,35 +313,3 @@ class FixCandidate:
             f"{self.attribute} {self.old[self.attribute]} -> {self.new_value} "
             f"(weight {self.weight:g}, solves {len(self.solves)})"
         )
-
-
-def dedupe_candidates(
-    candidates: Iterable[FixCandidate],
-) -> list[FixCandidate]:
-    """Merge candidates describing the same update of the same tuple.
-
-    Two constraints can produce the identical mono-local fix; the MWSCP
-    must contain it once, with the union of solved sets and merged sources
-    (Example 3.3 lists ``S(t₁, t₁¹)`` once even though both ic₁ and ic₂
-    generate it).
-    """
-    merged: dict[tuple[TupleRef, str, int], FixCandidate] = {}
-    for candidate in candidates:
-        key = (candidate.ref, candidate.attribute, candidate.new_value)
-        existing = merged.get(key)
-        if existing is None:
-            merged[key] = candidate
-        else:
-            merged[key] = FixCandidate(
-                ref=existing.ref,
-                old=existing.old,
-                new=existing.new,
-                attribute=existing.attribute,
-                new_value=existing.new_value,
-                weight=existing.weight,
-                solves=tuple(sorted(set(existing.solves) | set(candidate.solves))),
-                sources=tuple(
-                    dict.fromkeys(existing.sources + candidate.sources)
-                ),
-            )
-    return list(merged.values())

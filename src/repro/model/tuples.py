@@ -92,20 +92,36 @@ class Tuple:
         """Return a new tuple with some attributes changed.
 
         Key attributes cannot be changed (the repair identity of a tuple is
-        its key); attempting to do so raises :class:`InstanceError`.
+        its key); attempting to do so raises :class:`InstanceError`.  Only
+        the changed cells are validated - the others were checked when
+        this tuple was built - and the key, hence the ref, carries over.
         """
         changes = dict(updates or {})
         changes.update(kwargs)
         if not changes:
             return self
+        relation = self._relation
         new_values = list(self._values)
         for name, value in changes.items():
-            if self._relation.is_key_attribute(name):
+            if relation.is_key_attribute(name):
                 raise InstanceError(
-                    f"cannot update key attribute {self._relation.name}.{name}"
+                    f"cannot update key attribute {relation.name}.{name}"
                 )
-            new_values[self._relation.position(name)] = value
-        return Tuple(self._relation, new_values)
+            position = relation.position(name)
+            if relation.attributes[position].is_flexible and not isinstance(
+                value, int
+            ):
+                raise InstanceError(
+                    f"{relation.name}.{name} is flexible and must be "
+                    f"an integer, got {value!r} ({type(value).__name__})"
+                )
+            new_values[position] = value
+        new = Tuple.__new__(Tuple)
+        new._relation = relation
+        new._values = values = tuple(new_values)
+        new._hash = hash((relation.name, values))
+        new._ref = self._ref
+        return new
 
     def changed_attributes(self, other: "Tuple") -> tuple[str, ...]:
         """Names of attributes on which ``self`` and ``other`` differ.

@@ -102,7 +102,7 @@ def traced_solver(name: str) -> Callable:
             with tracer.span(
                 f"solve:{name}",
                 category="solver",
-                sets=len(instance.sets),
+                sets=instance.n_sets,
                 elements=instance.n_elements,
             ) as span:
                 cover = solver(instance, *args, **kwargs)

@@ -11,6 +11,16 @@ flexible attribute) triple (Algorithm 3), and link fixes to the violation
 sets they solve across *all* constraints (Algorithm 4) using a per-tuple
 index of ``I(D, IC, t)`` so the work stays proportional to the degree of
 inconsistency.
+
+It runs as one compiled pass.  The Definition-2.8 data of every
+(constraint, relation, flexible attribute) is compiled once into a
+:class:`~repro.fixes.mlf.FixDescriptor`; candidates live in parallel
+columns; ``S(t, t′)`` is decided in closed form where the constraint
+shape allows it (see DESIGN.md, "The reduction"); and the incidence is
+written straight into the CSR arrays of the
+:class:`~repro.setcover.instance.SetCoverInstance`.  The
+:class:`~repro.fixes.mlf.FixCandidate` of a set is only built when it is
+asked for - a repair asks for the selected sets.
 """
 
 from __future__ import annotations
@@ -21,15 +31,17 @@ from typing import Iterable, Sequence
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.locality import check_local_set
 from repro.exceptions import UnrepairableError
-from repro.fixes.distance import CITY_DISTANCE, DistanceMetric, get_metric, tuple_delta
+from repro.fixes.distance import CITY_DISTANCE, DistanceMetric, get_metric
 from repro.fixes.mlf import (
     FixCandidate,
-    mono_local_fixes_for_tuple,
+    FixDescriptor,
+    fix_descriptors,
     solved_violations,
 )
 from repro.model.instance import DatabaseInstance
 from repro.model.tuples import Tuple
-from repro.setcover.instance import SetCoverInstance, WeightedSet
+from repro.obs import current_tracer
+from repro.setcover.instance import SetCoverInstance
 from repro.violations.detector import ViolationSet, find_all_violations
 
 
@@ -53,41 +65,8 @@ class RepairProblem:
         return not self.violations
 
     def candidate(self, set_id: int) -> FixCandidate:
-        """The fix candidate realizing one set of the MWSCP instance."""
-        return self.setcover.sets[set_id].payload
-
-
-def _raw_candidates(
-    violations: Sequence[ViolationSet],
-    schema,
-) -> dict[tuple, tuple[Tuple, Tuple, str, list[str]]]:
-    """Generate mono-local fixes for every tuple of every violation set.
-
-    Returns a map keyed by ``(ref, attribute, new_value)`` so duplicate
-    fixes produced by different constraints merge (Example 2.10: ic₁ and
-    ic₂ both yield ``t₁¹``); the value keeps the merged source labels.
-    """
-    raw: dict[tuple, tuple[Tuple, Tuple, str, list[str]]] = {}
-    seen_per_constraint: set[tuple] = set()
-    for violation in violations:
-        constraint = violation.constraint
-        for tup in violation.tuples:
-            # Each (tuple, constraint) pair is expanded once even when the
-            # tuple occurs in many violation sets of the same constraint.
-            pair_key = (tup.ref, id(constraint))
-            if pair_key in seen_per_constraint:
-                continue
-            seen_per_constraint.add(pair_key)
-            for attribute, fixed in mono_local_fixes_for_tuple(
-                tup, constraint, schema
-            ).items():
-                key = (tup.ref, attribute, fixed[attribute])
-                existing = raw.get(key)
-                if existing is None:
-                    raw[key] = (tup, fixed, attribute, [constraint.label])
-                elif constraint.label not in existing[3]:
-                    existing[3].append(constraint.label)
-    return raw
+        """The fix candidate realizing one set (built on first request)."""
+        return self.setcover.payload(set_id)
 
 
 def build_repair_problem(
@@ -110,7 +89,8 @@ def build_repair_problem(
     metric:
         Cell distance for fix weights (default city distance ``L₁``).
     violations:
-        Precomputed ``I(D, IC)`` to reuse, e.g. from a profiling pass.
+        Precomputed ``I(D, IC)`` to reuse, e.g. from a profiling pass:
+        minimal violation sets, as every detection engine returns them.
 
     Raises
     ------
@@ -129,57 +109,157 @@ def build_repair_problem(
         violations = find_all_violations(instance, constraints)
     violations = tuple(violations)
 
-    # Per-tuple index of I(D, IC, t): violation positions by tuple.
-    by_tuple: dict[Tuple, list[int]] = {}
+    # Pass 1 (Algorithm 3): number the tuples of I(D, IC), record which
+    # violation sets each is in, and expand every (tuple, constraint) pair
+    # into its mono-local fixes once.  Candidates are keyed by (tuple,
+    # attribute, new value), so a fix several constraints produce is one
+    # set (Example 2.10: ic₁ and ic₂ both yield t₁¹) with merged source
+    # labels.  Keys and columns hold ints and strings only, which keeps
+    # the garbage collector out of the pass.
+    # id(constraint) -> (descriptors by relation name, label, expanded slots)
+    tables: dict[int, tuple[dict[str, dict[str, FixDescriptor]], str, set[int]]] = {}
+    violation_tables: list[dict[str, dict[str, FixDescriptor]]] = []
+    slot_of: dict[Tuple, int] = {}
+    tuples: list[Tuple] = []
+    member_slots: list[int] = []        # tuple slot of each (violation, member)
+    member_violations: list[int] = []   # ... and its violation index
+    candidate_of: dict[tuple[int, str, int], int] = {}
+    slots: list[int] = []
+    descriptors_used: list[FixDescriptor] = []
+    new_values: list[int] = []
+    labels: list = []                   # a label; a tuple once merged
+    n_fixes = 0
     for index, violation in enumerate(violations):
+        constraint = violation.constraint
+        entry = tables.get(id(constraint))
+        if entry is None:
+            entry = tables[id(constraint)] = ({}, constraint.label, set())
+        table, label, expanded = entry
+        violation_tables.append(table)
         for tup in violation.tuples:
-            by_tuple.setdefault(tup, []).append(index)
+            slot = slot_of.get(tup)
+            if slot is None:
+                slot = slot_of[tup] = len(tuples)
+                tuples.append(tup)
+            member_slots.append(slot)
+            member_violations.append(index)
+            relation = tup.relation
+            descriptors = table.get(relation.name)
+            if descriptors is None:
+                descriptors = table[relation.name] = fix_descriptors(
+                    constraint, relation
+                )
+            if slot in expanded:
+                continue
+            expanded.add(slot)
+            values = tup.values
+            for descriptor in descriptors.values():
+                new_value = descriptor.fix(values[descriptor.position])
+                if new_value is None:
+                    continue
+                n_fixes += 1
+                key = (slot, descriptor.attribute, new_value)
+                found = candidate_of.get(key)
+                if found is None:
+                    candidate_of[key] = len(slots)
+                    slots.append(slot)
+                    descriptors_used.append(descriptor)
+                    new_values.append(new_value)
+                    labels.append(label)
+                elif isinstance(labels[found], str):
+                    if labels[found] != label:
+                        labels[found] = (labels[found], label)
+                elif label not in labels[found]:
+                    labels[found] += (label,)
+    if violations:
+        current_tracer().metrics.counter("mlf_evaluations").inc(n_fixes)
 
-    raw = _raw_candidates(violations, instance.schema)
+    # I(D, IC, t) per tuple slot, as CSR rows (ascending violation ids).
+    tuple_start = [0] * (len(tuples) + 1)
+    for slot in member_slots:
+        tuple_start[slot + 1] += 1
+    for slot in range(len(tuples)):
+        tuple_start[slot + 1] += tuple_start[slot]
+    tuple_violations = [0] * len(member_slots)
+    cursor = tuple_start[:-1]
+    for slot, index in zip(member_slots, member_violations):
+        tuple_violations[cursor[slot]] = index
+        cursor[slot] += 1
 
-    sets: list[WeightedSet] = []
-    for key in sorted(raw, key=lambda k: (k[0], k[1], k[2])):
-        old, new, attribute, sources = raw[key]
-        solves = solved_violations(
-            old, new, violations, candidate_indices=by_tuple.get(old, ())
-        )
-        if not solves:
+    # Sets ordered by (tuple ref, attribute, new value).
+    if all(tup.ref.flat_sort_key is not None for tup in tuples):
+        ref_keys = [tup.ref.flat_sort_key for tup in tuples]
+    else:
+        ref_keys = [tup.ref.sort_key for tup in tuples]
+    order = sorted(
+        range(len(slots)),
+        key=lambda i: (ref_keys[slots[i]], descriptors_used[i].attribute, new_values[i]),
+    )
+
+    # Pass 2 (Algorithm 4): S(t, t′) for every candidate, across all
+    # constraints, written straight into the CSR arrays.
+    weights: list[float] = []
+    set_start = [0]
+    set_elements: list[int] = []
+    chosen: list[int] = []              # candidate index of each set
+    point = metric.point
+    for i in order:
+        slot = slots[i]
+        tup = tuples[slot]
+        descriptor = descriptors_used[i]
+        attribute = descriptor.attribute
+        new_value = new_values[i]
+        relation = tup.relation.name
+        fixed: Tuple | None = None
+        for index in tuple_violations[tuple_start[slot] : tuple_start[slot + 1]]:
+            test = violation_tables[index][relation][attribute]
+            if test.closed_form:
+                if not test.solved_at(new_value):
+                    continue
+            else:
+                if fixed is None:
+                    fixed = tup.replace({attribute: new_value})
+                if not solved_violations(tup, fixed, violations, (index,)):
+                    continue
+            set_elements.append(index)
+        if len(set_elements) == set_start[-1]:
             # A fix that solves nothing is not a local fix (Definition
             # 2.6(b) requires S(t,t') to be non-empty); drop it.
             continue
-        weight = tuple_delta(old, new, metric)
-        candidate = FixCandidate(
+        set_start.append(len(set_elements))
+        # Δ({t}, {t′}) = α_A · Dist(t[A], t′[A]): only A differs.
+        weights.append(
+            descriptor.alpha * point(tup.values[descriptor.position], new_value)
+        )
+        chosen.append(i)
+
+    def candidate(set_id: int) -> FixCandidate:
+        i = chosen[set_id]
+        old = tuples[slots[i]]
+        sources = labels[i]
+        return FixCandidate(
             ref=old.ref,
             old=old,
-            new=new,
-            attribute=attribute,
-            new_value=new[attribute],
-            weight=weight,
-            solves=solves,
-            sources=tuple(sources),
-        )
-        sets.append(
-            WeightedSet(len(sets), weight, solves, candidate)
+            attribute=descriptors_used[i].attribute,
+            new_value=new_values[i],
+            weight=weights[set_id],
+            solves=tuple(set_elements[set_start[set_id] : set_start[set_id + 1]]),
+            sources=(sources,) if isinstance(sources, str) else sources,
         )
 
-    problem = RepairProblem(
+    setcover = SetCoverInstance.from_arrays(
+        len(violations), weights, set_start, set_elements, payload=candidate
+    )
+    uncovered = setcover.first_uncovered()
+    if uncovered is not None:
+        raise UnrepairableError(
+            f"violation set {violations[uncovered]!r} admits no mono-local fix; "
+            "the constraint set is not repairable by attribute updates"
+        )
+    return RepairProblem(
         instance=instance,
         constraints=constraints,
         metric=metric,
         violations=violations,
-        setcover=SetCoverInstance(len(violations), sets),
+        setcover=setcover,
     )
-    if violations:
-        _check_coverage(problem)
-    return problem
-
-
-def _check_coverage(problem: RepairProblem) -> None:
-    """Every violation set must be solvable by at least one candidate fix."""
-    for element, adjacent in enumerate(problem.setcover.element_to_sets):
-        if not adjacent:
-            violation = problem.violations[element]
-            raise UnrepairableError(
-                f"violation set {violation!r} admits no mono-local fix; "
-                "the constraint set is not repairable by attribute updates"
-            )

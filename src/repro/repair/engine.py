@@ -48,11 +48,10 @@ from repro.violations.kernels import resolve_engine
 
 logger = logging.getLogger(__name__)
 
-#: Span name → ``elapsed_seconds`` key (the ``reduce`` stage keeps its
-#: historical ``build`` key so serialized results stay comparable).
+#: Span name → ``elapsed_seconds`` key.
 _STAGE_KEYS = {
     "detect": "detect",
-    "reduce": "build",
+    "reduce": "reduce",
     "solve": "solve",
     "apply": "apply",
     "verify": "verify",
@@ -167,7 +166,8 @@ def repair_database(
     RepairResult
         The repaired instance plus distance, change log and solver stats.
         ``elapsed_seconds`` splits the wall clock per stage (``detect``,
-        ``build``, ``solve``, ``apply``, ``verify``); ``solver_stats``
+        ``reduce``, ``solve``, ``apply``, ``verify`` - the stage span
+        names); ``solver_stats``
         follows the schema of :mod:`repro.obs.stats`; ``trace`` carries
         the span tree of a traced run.
     """
@@ -290,7 +290,7 @@ def repair_database(
                 violations=violations,
             )
             reduce_span.tag(
-                sets=len(problem.setcover.sets),
+                sets=problem.setcover.n_sets,
                 elements=problem.setcover.n_elements,
             )
         built = time.perf_counter()
@@ -299,7 +299,7 @@ def repair_database(
             root.tag(consistent=True)
             root_elapsed = {
                 "detect": detected - started,
-                "build": built - detected,
+                "reduce": built - detected,
             }
             result_trace = None
             if tracer.enabled:
@@ -307,7 +307,7 @@ def repair_database(
                 reduce_span.close()
                 root_elapsed = {
                     "detect": detect_span.duration or 0.0,
-                    "build": reduce_span.duration or 0.0,
+                    "reduce": reduce_span.duration or 0.0,
                 }
                 if owns_trace:
                     result_trace = _finish_after(ctx, tracer)
@@ -327,7 +327,7 @@ def repair_database(
         logger.info(
             "repair: %d violations, %d candidate fixes, solving with %s%s",
             len(problem.violations),
-            len(problem.setcover.sets),
+            problem.setcover.n_sets,
             algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "?"),
             f" [{executor.backend} x{executor.workers}]" if decomposed else "",
         )
@@ -401,7 +401,7 @@ def repair_database(
             solver_stats["solve_workers"] = solve_workers
         elapsed = {
             "detect": detected - started,
-            "build": built - detected,
+            "reduce": built - detected,
             "solve": solved - built,
             "apply": applied - solved,
             "verify": time.perf_counter() - applied if verify else 0.0,

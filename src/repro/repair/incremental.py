@@ -288,7 +288,7 @@ class IncrementalRepairer:
                     check_locality=False,          # checked once in __init__
                     violations=violations,
                 )
-                reduce_span.tag(sets=len(problem.setcover.sets))
+                reduce_span.tag(sets=problem.setcover.n_sets)
             with self._tracer.span(
                 "solve", category="stage", anchor=True
             ) as solve_span:

@@ -5,7 +5,7 @@ pipeline stages describe their work with plain data + top-level functions
 from this module:
 
 * **solving** — a batch of connected components travels as bare
-  ``(n_elements, ((weight, elements), ...))`` specs (payloads stripped:
+  ``(n_elements, weights, set_start, set_elements)`` CSR specs (payloads stripped:
   solvers never read them, and :class:`~repro.fixes.mlf.FixCandidate`
   graphs would dominate the pickle size).  Solvers are named by registry
   key when possible so only a short string crosses the process boundary;
@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.setcover.instance import SetCoverInstance, WeightedSet
+from repro.setcover.instance import SetCoverInstance
 from repro.setcover.result import Cover
 
-#: ``(n_elements, ((weight, elements), ...))`` — a payload-free component.
-ComponentSpec = "tuple[int, tuple[tuple[float, tuple[int, ...]], ...]]"
+#: ``(n_elements, weights, set_start, set_elements)`` — a payload-free component.
+ComponentSpec = "tuple[int, list[float], list[int], list[int]]"
 
 #: A solver shipped by registry name (str) or as a module-level callable.
 SolverToken = "str | Callable[[SetCoverInstance], Cover]"
@@ -63,22 +63,17 @@ def resolve_solver(token: "str | Callable") -> Callable:
 
 
 def component_spec(instance: SetCoverInstance) -> tuple:
-    """Strip a component instance down to its picklable skeleton."""
+    """Strip a component instance down to its picklable CSR arrays."""
     return (
         instance.n_elements,
-        tuple((s.weight, s.elements) for s in instance.sets),
+        instance.weights,
+        instance.set_start,
+        instance.set_elements,
     )
 
 
 def _instance_from_spec(spec: tuple) -> SetCoverInstance:
-    n_elements, sets = spec
-    return SetCoverInstance(
-        n_elements,
-        [
-            WeightedSet(index, weight, elements)
-            for index, (weight, elements) in enumerate(sets)
-        ],
-    )
+    return SetCoverInstance.from_arrays(*spec)
 
 
 class _WorkerTrace:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.setcover.instance import SetCoverInstance, WeightedSet
+from repro.setcover.instance import SetCoverInstance
 from repro.setcover.result import Cover
 
 
@@ -53,7 +53,9 @@ def decompose(instance: SetCoverInstance) -> tuple[Component, ...]:
     their smallest element id, elements and sets keep relative order, so
     the decomposition is deterministic.
     """
-    parent = list(range(instance.n_elements))
+    n_elements = instance.n_elements
+    set_start, set_elements = instance.set_start, instance.set_elements
+    parent = list(range(n_elements))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -61,48 +63,65 @@ def decompose(instance: SetCoverInstance) -> tuple[Component, ...]:
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_b] = root_a
+    for set_id in range(instance.n_sets):
+        start, end = set_start[set_id], set_start[set_id + 1]
+        if end - start > 1:
+            root = find(set_elements[start])
+            for index in range(start + 1, end):
+                other = find(set_elements[index])
+                if other != root:
+                    parent[other] = root
 
-    for weighted_set in instance.sets:
-        elements = weighted_set.elements
-        for other in elements[1:]:
-            union(elements[0], other)
+    # Elements are visited ascending, so components are numbered by
+    # their smallest element and list their elements in order.
+    component_of = [0] * n_elements
+    local_of = [0] * n_elements
+    members: list[list[int]] = []
+    number: dict[int, int] = {}
+    for element in range(n_elements):
+        root = find(element)
+        index = number.get(root)
+        if index is None:
+            index = number[root] = len(members)
+            members.append([])
+        component_of[element] = index
+        local_of[element] = len(members[index])
+        members[index].append(element)
 
-    members: dict[int, list[int]] = {}
-    for element in range(instance.n_elements):
-        members.setdefault(find(element), []).append(element)
+    weights: list[list[float]] = [[] for _ in members]
+    starts = [[0] for _ in members]
+    rows: list[list[int]] = [[] for _ in members]
+    set_ids: list[list[int]] = [[] for _ in members]
+    for set_id in range(instance.n_sets):
+        start, end = set_start[set_id], set_start[set_id + 1]
+        if start == end:
+            continue  # empty sets join no component
+        index = component_of[set_elements[start]]
+        row = rows[index]
+        row.extend(local_of[e] for e in set_elements[start:end])
+        starts[index].append(len(row))
+        weights[index].append(instance.weights[set_id])
+        set_ids[index].append(set_id)
 
-    components: list[Component] = []
-    for root in sorted(members, key=lambda r: members[r][0]):
-        element_ids = tuple(members[root])
-        local_of = {e: i for i, e in enumerate(element_ids)}
-        set_ids: list[int] = []
-        local_sets: list[WeightedSet] = []
-        for weighted_set in instance.sets:
-            if not weighted_set.elements:
-                continue
-            if find(weighted_set.elements[0]) != root:
-                continue
-            local_sets.append(
-                WeightedSet(
-                    len(local_sets),
-                    weighted_set.weight,
-                    tuple(local_of[e] for e in weighted_set.elements),
-                    weighted_set.payload,
-                )
-            )
-            set_ids.append(weighted_set.set_id)
-        components.append(
-            Component(
-                instance=SetCoverInstance(len(element_ids), local_sets),
-                element_ids=element_ids,
-                set_ids=tuple(set_ids),
-            )
+    return tuple(
+        Component(
+            instance=SetCoverInstance.from_arrays(
+                len(members[index]),
+                weights[index],
+                starts[index],
+                rows[index],
+                payload=_payload_through(instance, set_ids[index]),
+            ),
+            element_ids=tuple(members[index]),
+            set_ids=tuple(set_ids[index]),
         )
-    return tuple(components)
+        for index in range(len(members))
+    )
+
+
+def _payload_through(instance: SetCoverInstance, set_ids: list[int]):
+    """Component-local payloads, read from the decomposed instance."""
+    return lambda local: instance.payload(set_ids[local])
 
 
 #: Per-component stats that are maxima, not counts (see
@@ -149,7 +168,7 @@ def _solve_components_parallel(
     trace_remote = tracer.enabled and ex.backend == "process"
     tokens = [solver_token(use) for use in chosen]
     costs = [
-        float(c.instance.n_elements + len(c.instance.sets)) for c in components
+        float(c.instance.n_elements + c.instance.n_sets) for c in components
     ]
     chunks = balanced_chunks(costs, ex.n_chunks(len(components)))
     payloads = [

@@ -8,10 +8,10 @@ reach.  This module re-hosts the same five algorithms on flat arrays:
 * an **integer-id universe** with both incidence directions stored CSR
   style - ``set_start``/``set_elements`` (set → its element ids) and
   ``element_start``/``element_sets`` (element → ids of sets containing
-  it, ascending).  The baseline build is pure Python; when NumPy is
-  importable (the optional ``repro[kernel]`` extra) the element → set
-  inversion runs as a stable argsort + bincount, producing the exact
-  same arrays;
+  it, ascending).  The set → element rows are the instance's own arrays;
+  the inversion is pure Python, and when NumPy is importable (the
+  optional ``repro[kernel]`` extra) it runs as a stable argsort +
+  bincount, producing the exact same arrays;
 * **bytearray coverage marks** instead of per-set Python sets, with
   per-set *uncovered counters* maintained by walking the element rows of
   a selected set (total work = total incidence, not |S|² rescans);
@@ -75,7 +75,7 @@ class FlatSetCover:
         with tracer.span(
             "setcover:flat-build",
             category="solver",
-            sets=len(instance.sets),
+            sets=instance.n_sets,
             elements=instance.n_elements,
         ) as span:
             self._build(instance)
@@ -89,20 +89,14 @@ class FlatSetCover:
 
     def _build(self, instance: SetCoverInstance) -> None:
         started = time.perf_counter()
-        sets = instance.sets
+        # set -> elements (CSR) is the instance's own representation; the
+        # solvers only read these lists, so they are shared, not copied.
         self.n_elements = instance.n_elements
-        self.n_sets = len(sets)
-        self.weights = [s.weight for s in sets]
-
-        # set -> elements (CSR): a straight flatten of the tuples.
-        set_start = [0] * (self.n_sets + 1)
-        set_elements: list[int] = []
-        for index, weighted_set in enumerate(sets):
-            set_elements.extend(weighted_set.elements)
-            set_start[index + 1] = len(set_elements)
-        self.set_start = set_start
-        self.set_elements = set_elements
-        self.nnz = len(set_elements)
+        self.n_sets = instance.n_sets
+        self.weights = instance.weights
+        self.set_start = instance.set_start
+        self.set_elements = instance.set_elements
+        self.nnz = len(self.set_elements)
 
         self.accelerated = False
         built = self._invert_numpy()

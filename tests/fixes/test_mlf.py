@@ -10,7 +10,6 @@ from repro import (
 )
 from repro.fixes.mlf import (
     FixCandidate,
-    dedupe_candidates,
     mono_local_fixes_for_tuple,
     solved_violations,
 )
@@ -139,31 +138,18 @@ class TestSolvedViolations:
         assert solved_violations(t3, t3.replace(ef=0), violations) == ()
 
 
-class TestDedupe:
-    def _candidate(self, tup, attribute, value, solves, source):
-        new = tup.replace({attribute: value})
-        return FixCandidate(
-            ref=tup.ref,
-            old=tup,
-            new=new,
-            attribute=attribute,
-            new_value=value,
+class TestFixCandidate:
+    def test_new_is_derived_from_old(self, paper):
+        t1 = paper.instance.get("Paper", ("B1",))
+        candidate = FixCandidate(
+            ref=t1.ref,
+            old=t1,
+            attribute="ef",
+            new_value=0,
             weight=1.0,
-            solves=solves,
-            sources=(source,),
+            solves=(0, 2),
+            sources=("ic1", "ic2"),
         )
-
-    def test_identical_fixes_merge(self, paper):
-        t1 = paper.instance.get("Paper", ("B1",))
-        a = self._candidate(t1, "ef", 0, (0,), "ic1")
-        b = self._candidate(t1, "ef", 0, (2,), "ic2")
-        merged = dedupe_candidates([a, b])
-        assert len(merged) == 1
-        assert merged[0].solves == (0, 2)
-        assert merged[0].sources == ("ic1", "ic2")
-
-    def test_distinct_fixes_kept(self, paper):
-        t1 = paper.instance.get("Paper", ("B1",))
-        a = self._candidate(t1, "ef", 0, (0,), "ic1")
-        b = self._candidate(t1, "prc", 50, (0,), "ic1")
-        assert len(dedupe_candidates([a, b])) == 2
+        assert candidate.new == t1.replace({"ef": 0})
+        assert candidate.new.ref == t1.ref
+        assert "ef 1 -> 0" in candidate.describe()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Attribute, InstanceError, Relation, Tuple, TupleRef
+from repro import Attribute, InstanceError, Relation, SchemaError, Tuple, TupleRef
 
 
 @pytest.fixture
@@ -89,6 +89,21 @@ class TestTuple:
     def test_replace_key_attribute_rejected(self, client):
         with pytest.raises(InstanceError):
             Tuple(client, ("c1", 17, 60)).replace(id="c2")
+
+    def test_replace_checks_changed_flexible_cells(self, client):
+        tup = Tuple(client, ("c1", 17, 60))
+        with pytest.raises(InstanceError, match="must be an integer"):
+            tup.replace(a=17.5)
+        with pytest.raises(SchemaError):
+            tup.replace(zz=1)
+
+    def test_replace_keeps_identity_hash_and_ref(self, client):
+        tup = Tuple(client, ("c1", 17, 60))
+        ref = tup.ref
+        fixed = tup.replace(a=18)
+        assert fixed == Tuple(client, ("c1", 18, 60))
+        assert hash(fixed) == hash(Tuple(client, ("c1", 18, 60)))
+        assert fixed.ref is ref
 
     def test_changed_attributes(self, client):
         tup = Tuple(client, ("c1", 17, 60))

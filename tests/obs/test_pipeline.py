@@ -54,7 +54,7 @@ class TestEngineTrace:
         root = result.trace.roots[0]
         by_name = {c.name: c for c in root.children if c.category == "stage"}
         assert result.elapsed_seconds["detect"] == by_name["detect"].duration
-        assert result.elapsed_seconds["build"] == by_name["reduce"].duration
+        assert result.elapsed_seconds["reduce"] == by_name["reduce"].duration
         assert result.elapsed_seconds["solve"] == by_name["solve"].duration
         assert result.elapsed_seconds["apply"] == by_name["apply"].duration
         assert result.elapsed_seconds["verify"] == by_name["verify"].duration

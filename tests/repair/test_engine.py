@@ -110,7 +110,7 @@ class TestRepairDatabase:
         assert result.tuples_changed == 2
         assert set(result.elapsed_seconds) == {
             "detect",
-            "build",
+            "reduce",
             "solve",
             "apply",
             "verify",

@@ -170,7 +170,7 @@ class TestEngineEquality:
         assert result.solver_stats["runtime_workers"] == 2.0
         assert result.solver_stats["components"] >= 1.0
         assert set(result.elapsed_seconds) == {
-            "detect", "build", "solve", "apply", "verify",
+            "detect", "reduce", "solve", "apply", "verify",
         }
 
     def test_serial_run_keeps_legacy_stats(self):
