@@ -9,11 +9,34 @@ handled by the repair algorithms.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.exceptions import InstanceError, KeyViolationError
 from repro.model.schema import Relation, Schema
-from repro.model.tuples import Tuple, TupleRef
+from repro.model.tuples import Tuple, TupleRef, _trusted_tuple
+
+
+def _rows_valid(relation: Relation, rows: list[tuple[Any, ...]]) -> bool:
+    """True when every row would pass ``Tuple(relation, row)``.
+
+    One pass per check over the whole column: every row has the
+    relation's arity, and every value of a flexible column has a type
+    derived from ``int`` (what ``isinstance(value, int)`` accepts, bools
+    included).
+    """
+    if not rows:
+        return True
+    if set(map(len, rows)) != {relation.arity}:
+        return False
+    for index, attribute in enumerate(relation.attributes):
+        if attribute.is_flexible and not all(
+            issubclass(kind, int)
+            for kind in set(map(type, map(itemgetter(index), rows)))
+        ):
+            return False
+    return True
 
 
 class DatabaseInstance:
@@ -41,15 +64,62 @@ class DatabaseInstance:
     def from_rows(
         cls,
         schema: Schema,
-        rows: Mapping[str, Iterable[Iterable[Any]]],
+        rows: (
+            Mapping[str, Iterable[Iterable[Any]]]
+            | Iterable[tuple[str, Iterable[Iterable[Any]]]]
+        ),
     ) -> "DatabaseInstance":
-        """Build an instance from ``{relation_name: [row, ...]}`` mappings."""
+        """Build an instance from ``{relation_name: [row, ...]}`` mappings.
+
+        ``rows`` may also be an iterable of ``(relation_name, rows)``
+        pairs.  It is consumed one relation at a time, and each relation
+        is validated before the next pair is drawn, so a storage loader
+        can pass a generator that reads a table only once every earlier
+        table loaded cleanly.
+
+        Each relation is bulk-loaded: one arity check and one type check
+        per flexible column over the whole row list, then one
+        ``dict(zip(keys, tuples))``.  The result equals a per-row
+        :meth:`insert` of the same rows in every respect - table order,
+        keys, tuples and their hashes, data versions.  When a check fails
+        or keys collide, the relation is replayed row by row through
+        ``Tuple(...)`` and :meth:`insert`, which raise the per-row error
+        naming the first bad row.
+        """
         instance = cls(schema)
-        for relation_name, relation_rows in rows.items():
-            relation = schema.relation(relation_name)
-            for row in relation_rows:
-                instance.insert(Tuple(relation, tuple(row)))
+        pairs = rows.items() if isinstance(rows, Mapping) else rows
+        for relation_name, relation_rows in pairs:
+            instance._bulk_insert(schema.relation(relation_name), relation_rows)
         return instance
+
+    def _bulk_insert(
+        self, relation: Relation, rows: Iterable[Iterable[Any]]
+    ) -> None:
+        """Insert many rows of one relation (see :meth:`from_rows`)."""
+        name = relation.name
+        table = self._table(name)
+        # tuple() hands back the very object for rows that already are
+        # tuples (sqlite and DuckDB rows): no copy.
+        row_list = list(map(tuple, rows))
+        if not table and _rows_valid(relation, row_list):
+            positions = relation.key_positions
+            if len(positions) == 1:
+                keys = zip(map(itemgetter(positions[0]), row_list))
+            else:
+                keys = map(itemgetter(*positions), row_list)
+            try:
+                bulk = dict(
+                    zip(keys, map(partial(_trusted_tuple, relation), row_list))
+                )
+            except TypeError:
+                # An unhashable value: the replay raises it in row order.
+                bulk = {}
+            if len(bulk) == len(row_list):
+                self._tables[name] = bulk
+                self._versions[name] += len(row_list)
+                return
+        for row in row_list:
+            self.insert(Tuple(relation, row))
 
     def insert(self, tup: Tuple) -> None:
         """Insert a tuple; raises :class:`KeyViolationError` on duplicate key."""

@@ -116,12 +116,7 @@ class Tuple:
                     f"an integer, got {value!r} ({type(value).__name__})"
                 )
             new_values[position] = value
-        new = Tuple.__new__(Tuple)
-        new._relation = relation
-        new._values = values = tuple(new_values)
-        new._hash = hash((relation.name, values))
-        new._ref = self._ref
-        return new
+        return _trusted_tuple(relation, tuple(new_values), self._ref)
 
     def changed_attributes(self, other: "Tuple") -> tuple[str, ...]:
         """Names of attributes on which ``self`` and ``other`` differ.
@@ -163,6 +158,24 @@ class Tuple:
     def __repr__(self) -> str:
         inner = ", ".join(repr(v) for v in self._values)
         return f"{self._relation.name}({inner})"
+
+
+def _trusted_tuple(
+    relation: Relation, values: tuple[Any, ...], ref: "TupleRef | None" = None
+) -> Tuple:
+    """Build a :class:`Tuple` from values already known to be valid.
+
+    Skips the arity and flexible-type checks of ``Tuple.__init__``: the
+    callers (:meth:`Tuple.replace`, the bulk loader of
+    :meth:`~repro.model.instance.DatabaseInstance.from_rows`) have checked
+    the values themselves.  ``values`` must be a tuple; it is stored as is.
+    """
+    new = Tuple.__new__(Tuple)
+    new._relation = relation
+    new._values = values
+    new._hash = hash((relation.name, values))
+    new._ref = ref
+    return new
 
 
 class TupleRef:

@@ -20,7 +20,6 @@ from repro.constraints.denial import DenialConstraint
 from repro.exceptions import BackendError
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import Relation, Schema
-from repro.model.tuples import Tuple
 from repro.repair.result import RepairResult
 from repro.storage.base import ExportMode
 from repro.violations.detector import ViolationSet, find_all_violations
@@ -57,22 +56,28 @@ class CsvBackend:
 
     def load_instance(self, schema: Schema) -> DatabaseInstance:
         """Read every relation's CSV file; headers must match the schema."""
-        instance = DatabaseInstance(schema)
-        for relation in schema:
-            path = self._path(relation.name)
-            if not path.exists():
-                raise BackendError(f"missing CSV file {path}")
-            with path.open(newline="", encoding="utf-8") as handle:
-                reader = csv.reader(handle)
-                try:
-                    header = next(reader)
-                except StopIteration:
-                    raise BackendError(f"{path} is empty (expected a header)")
-                if tuple(header) != relation.attribute_names:
-                    raise BackendError(
-                        f"{path}: header {header} does not match schema "
-                        f"attributes {list(relation.attribute_names)}"
-                    )
+        return DatabaseInstance.from_rows(
+            schema, ((r.name, self._read_rows(schema, r)) for r in schema)
+        )
+
+    def _read_rows(self, schema: Schema, relation: Relation) -> list[tuple]:
+        """Parse one relation's file into rows of typed cells."""
+        path = self._path(relation.name)
+        if not path.exists():
+            raise BackendError(f"missing CSV file {path}")
+        rows: list[tuple] = []
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise BackendError(f"{path} is empty (expected a header)")
+            if tuple(header) != relation.attribute_names:
+                raise BackendError(
+                    f"{path}: header {header} does not match schema "
+                    f"attributes {list(relation.attribute_names)}"
+                )
+            try:
                 for line_number, row in enumerate(reader, start=2):
                     if not row:
                         continue
@@ -81,12 +86,17 @@ class CsvBackend:
                             f"{path}:{line_number}: expected {relation.arity} "
                             f"cells, got {len(row)}"
                         )
-                    values = tuple(
-                        _parse_cell(relation, i, cell)
-                        for i, cell in enumerate(row)
+                    rows.append(
+                        tuple(
+                            _parse_cell(relation, i, cell)
+                            for i, cell in enumerate(row)
+                        )
                     )
-                    instance.insert(Tuple(relation, values))
-        return instance
+            except BackendError:
+                # A duplicate key on an earlier line is reported first.
+                DatabaseInstance.from_rows(schema, {relation.name: rows})
+                raise
+        return rows
 
     def find_violations(
         self,

@@ -228,26 +228,30 @@ class DuckDBBackend:
 
     def load_instance(self, schema: Schema) -> DatabaseInstance:
         """Read every table into a backend-resident in-memory instance."""
-        instance = DatabaseInstance(schema)
         cursor = self._cursor()
-        for relation in schema:
-            try:
-                cursor.execute(
-                    f"SELECT {', '.join(relation.attribute_names)} "
-                    f"FROM {relation.name}"
-                )
-                rows = cursor.fetchall()
-            except duckdb.Error as error:
-                raise BackendError(
-                    f"cannot read table {relation.name!r}: {error}"
-                ) from error
-            for row in rows:
-                instance.insert(Tuple(relation, tuple(row)))
+        instance = DatabaseInstance.from_rows(
+            schema,
+            ((r.name, self._fetch_table(cursor, r)) for r in schema),
+        )
         bind_backend(instance, self)
         # Seed the NULL-scan cache from the rows just read (declared
         # types already settle the integer checks in DuckDB).
         getattr(instance, BINDING_ATTR).cache.update(prescan_columns(instance))
         return instance
+
+    @staticmethod
+    def _fetch_table(cursor: Any, relation: Relation) -> list[tuple]:
+        """Every row of one relation's table, columns in schema order."""
+        try:
+            cursor.execute(
+                f"SELECT {', '.join(relation.attribute_names)} "
+                f"FROM {relation.name}"
+            )
+            return cursor.fetchall()
+        except duckdb.Error as error:
+            raise BackendError(
+                f"cannot read table {relation.name!r}: {error}"
+            ) from error
 
     def find_violations(
         self,

@@ -157,25 +157,29 @@ class SqliteBackend:
         binding to this backend, so ``engine="auto"`` detection runs the
         violation SQL in-database until either side is mutated.
         """
-        instance = DatabaseInstance(schema)
         cursor = self._cursor()
-        for relation in schema:
-            try:
-                rows = cursor.execute(
-                    f"SELECT {', '.join(relation.attribute_names)} "
-                    f"FROM {relation.name}"
-                )
-            except sqlite3.Error as error:
-                raise BackendError(
-                    f"cannot read table {relation.name!r}: {error}"
-                ) from error
-            for row in rows:
-                instance.insert(Tuple(relation, tuple(row)))
+        instance = DatabaseInstance.from_rows(
+            schema,
+            ((r.name, self._fetch_table(cursor, r)) for r in schema),
+        )
         bind_backend(instance, self)
         # Seed the executability cache from the rows just read: detection
         # then needs no per-column typeof/NULL scans at all.
         getattr(instance, BINDING_ATTR).cache.update(prescan_columns(instance))
         return instance
+
+    @staticmethod
+    def _fetch_table(cursor: sqlite3.Cursor, relation: Relation) -> list[tuple]:
+        """Every row of one relation's table, columns in schema order."""
+        try:
+            return cursor.execute(
+                f"SELECT {', '.join(relation.attribute_names)} "
+                f"FROM {relation.name}"
+            ).fetchall()
+        except sqlite3.Error as error:
+            raise BackendError(
+                f"cannot read table {relation.name!r}: {error}"
+            ) from error
 
     def find_violations(
         self,

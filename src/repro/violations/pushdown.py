@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.exceptions import PushdownError
@@ -164,23 +165,25 @@ def prescan_columns(instance: DatabaseInstance) -> dict[Any, bool]:
     """Per-column executability verdicts, computed from the loaded image.
 
     Returns ``{("int"|"null", relation, attribute): clean}`` entries for
-    every column: ``"int"`` means all values are integers, ``"null"``
-    means the column is NULL-free.  A backend that just loaded the
-    instance can seed the binding's cache with these instead of issuing
-    per-column SQL scans at detection time - the binding's version checks
-    guarantee the in-memory image still mirrors the stored tables, so the
-    verdicts are interchangeable.
+    every column: ``"int"`` means all values have type exactly ``int``,
+    ``"null"`` means the column is NULL-free.  Both verdicts come from one
+    set of value types per column, collected at C speed - the same column
+    scan the bulk loader of ``DatabaseInstance.from_rows`` validates with.
+    A backend that just loaded the instance can seed the binding's cache
+    with these instead of issuing per-column SQL scans at detection time -
+    the binding's version checks guarantee the in-memory image still
+    mirrors the stored tables, so the verdicts are interchangeable.
     """
     cache: dict[Any, bool] = {}
     for relation in instance.schema:
-        tuples = instance.tuples(relation.name)
+        rows = [t.values for t in instance.tuples(relation.name)]
         for index, attribute in enumerate(relation.attributes):
-            all_int = all(type(t.values[index]) is int for t in tuples)
-            no_null = all_int or all(
-                t.values[index] is not None for t in tuples
+            kinds = set(map(type, map(itemgetter(index), rows)))
+            # "int" wants type exactly int: a bool (an int subclass) fails.
+            cache[("int", relation.name, attribute.name)] = kinds <= {int}
+            cache[("null", relation.name, attribute.name)] = (
+                type(None) not in kinds
             )
-            cache[("int", relation.name, attribute.name)] = all_int
-            cache[("null", relation.name, attribute.name)] = no_null
     return cache
 
 

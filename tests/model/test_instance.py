@@ -1,6 +1,7 @@
 """Unit tests for database instances."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     Attribute,
@@ -147,3 +148,119 @@ class TestComparison:
         text = instance.to_text()
         assert "Client" in text and "Buy" in text
         assert "1, 20" in text
+
+
+def _per_row_reference(schema, rows):
+    """The instance a plain per-row ``Tuple(...)`` + ``insert`` builds."""
+    reference = DatabaseInstance(schema)
+    for name, relation_rows in rows.items():
+        relation = schema.relation(name)
+        for row in relation_rows:
+            reference.insert(Tuple(relation, tuple(row)))
+    return reference
+
+
+_BULK_SCHEMA = Schema(
+    [
+        Relation(
+            "Buy",
+            [
+                Attribute.hard("id"),
+                Attribute.hard("i"),
+                Attribute.flexible("p"),
+                Attribute.hard("tag"),
+            ],
+            key=["id", "i"],
+        ),
+        Relation(
+            "Client", [Attribute.hard("id"), Attribute.flexible("a")], key=["id"]
+        ),
+        Relation("Empty", [Attribute.hard("id"), Attribute.flexible("b")], key=["id"]),
+    ]
+)
+
+# A small key domain makes duplicate keys common (True collides with 1).
+_keys = st.sampled_from([*range(12), True, False, "1", None])
+_flexible = st.one_of(st.integers(-(2**70), 2**70), st.booleans())
+_hard = st.one_of(st.integers(-3, 3), st.text(max_size=2), st.none())
+
+
+@st.composite
+def _relation_rows(draw, *cells, flexible_index):
+    rows = draw(st.lists(st.tuples(*cells), max_size=12))
+    damage = draw(st.sampled_from(["none"] * 4 + ["cell", "arity"]))
+    if rows and damage != "none":
+        index = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[index])
+        if damage == "cell":
+            row[flexible_index] = draw(st.sampled_from([None, "x", 1.5]))
+        else:
+            row = draw(st.sampled_from([row[:-1], row + [0]]))
+        rows[index] = tuple(row)
+    return rows
+
+
+@st.composite
+def _bulk_rows(draw):
+    return {
+        "Buy": draw(_relation_rows(_keys, _keys, _flexible, _hard, flexible_index=2)),
+        "Client": draw(_relation_rows(_keys, _flexible, flexible_index=1)),
+        "Empty": [],
+    }
+
+
+class TestBulkFromRows:
+    @settings(max_examples=150, deadline=None)
+    @given(_bulk_rows())
+    def test_equals_per_row_reference(self, rows):
+        try:
+            expected = _per_row_reference(_BULK_SCHEMA, rows)
+        except (InstanceError, KeyViolationError) as error:
+            with pytest.raises(type(error)) as caught:
+                DatabaseInstance.from_rows(_BULK_SCHEMA, rows)
+            assert type(caught.value) is type(error)
+            assert str(caught.value) == str(error)
+            return
+        loaded = DatabaseInstance.from_rows(_BULK_SCHEMA, rows)
+        assert loaded == expected
+        assert loaded._versions == expected._versions
+        for relation in _BULK_SCHEMA:
+            name = relation.name
+            assert tuple(loaded._tables[name]) == tuple(expected._tables[name])
+            for got, want in zip(loaded.tuples(name), expected.tuples(name)):
+                assert repr(got) == repr(want)
+                assert hash(got) == hash(want)
+                assert got.ref == want.ref
+                assert got.key == want.key
+
+    def test_pairs_are_validated_one_relation_at_a_time(self, schema):
+        drawn = []
+
+        def pairs():
+            drawn.append("Client")
+            yield "Client", [(1, "bad")]
+            drawn.append("Buy")
+            yield "Buy", []
+
+        with pytest.raises(InstanceError, match="Client.a is flexible"):
+            DatabaseInstance.from_rows(schema, pairs())
+        assert drawn == ["Client"]
+
+    def test_relation_given_twice_appends(self, schema):
+        loaded = DatabaseInstance.from_rows(
+            schema, [("Client", [(1, 5)]), ("Client", [(2, 6)])]
+        )
+        assert [t.key for t in loaded.tuples("Client")] == [(1,), (2,)]
+        assert loaded.data_version("Client") == 2
+        with pytest.raises(KeyViolationError):
+            DatabaseInstance.from_rows(
+                schema, [("Client", [(1, 5)]), ("Client", [(1, 6)])]
+            )
+
+    def test_unhashable_value_raises_like_per_row(self, schema):
+        # The duplicate key comes before the unhashable one, as per row.
+        rows = {"Buy": [(1, 0, 1), (1, 0, 2), (3, [], 4)]}
+        with pytest.raises(KeyViolationError):
+            DatabaseInstance.from_rows(schema, rows)
+        with pytest.raises(TypeError):
+            DatabaseInstance.from_rows(schema, {"Buy": [(3, [], 4)]})

@@ -54,6 +54,28 @@ class TestLoad:
         with pytest.raises(BackendError, match="integer"):
             backend.load_instance(workload.schema)
 
+    def test_duplicate_key_before_bad_cell_reported_first(self, csv_setup):
+        from repro import KeyViolationError
+
+        workload, backend = csv_setup
+        path = backend.directory / "Client.csv"
+        path.write_text(path.read_text() + "0,30,10\n99,young,10\n")
+        with pytest.raises(
+            KeyViolationError, match=r"duplicate key \(0,\) in relation 'Client'"
+        ):
+            backend.load_instance(workload.schema)
+
+    def test_relations_are_read_one_at_a_time(self, csv_setup):
+        from repro import KeyViolationError
+
+        workload, backend = csv_setup
+        path = backend.directory / "Client.csv"
+        path.write_text(path.read_text() + "0,30,10\n")
+        (backend.directory / "Buy.csv").unlink()
+        # Client's duplicate key surfaces before Buy's file is looked for.
+        with pytest.raises(KeyViolationError):
+            backend.load_instance(workload.schema)
+
     def test_empty_file(self, csv_setup):
         workload, backend = csv_setup
         (backend.directory / "Client.csv").write_text("")

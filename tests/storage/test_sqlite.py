@@ -104,3 +104,100 @@ class TestExports:
     def test_raw_execute_guard(self, backend):
         with pytest.raises(BackendError):
             backend.execute("SELECT * FROM missing_table")
+
+
+@pytest.fixture
+def client_buy_schema():
+    from repro import Attribute, Relation, Schema
+
+    return Schema(
+        [
+            Relation(
+                "Client",
+                [Attribute.hard("id"), Attribute.flexible("a")],
+                key=["id"],
+            ),
+            Relation(
+                "Buy",
+                [Attribute.hard("id"), Attribute.hard("i"), Attribute.flexible("p")],
+                key=["id", "i"],
+            ),
+        ]
+    )
+
+
+def _stored(schema, rows):
+    """A sqlite backend whose tables hold ``rows`` exactly as given.
+
+    The rows go in through raw SQL, so sqlite's dynamic typing keeps
+    text in INTEGER columns and NULLs in non-INTEGER primary keys.
+    """
+    backend = SqliteBackend()
+    backend.create_tables(schema)
+    for name, relation_rows in rows.items():
+        for row in relation_rows:
+            placeholders = ", ".join("?" for _ in row)
+            backend.execute(f"INSERT INTO {name} VALUES ({placeholders})", row)
+    return backend
+
+
+class TestHostileStoredData:
+    """Loading bad stored data raises the same error, naming the same row."""
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("abc", "'abc' (str)"), (None, "None (NoneType)"), (1.5, "1.5 (float)")],
+    )
+    def test_non_integer_flexible_cell(self, client_buy_schema, value, shown):
+        from repro import InstanceError
+
+        backend = _stored(
+            client_buy_schema,
+            {"Client": [(1, 5)], "Buy": [(1, 0, 3), (1, 1, value), (1, 2, "zzz")]},
+        )
+        with pytest.raises(InstanceError) as caught:
+            backend.load_instance(client_buy_schema)
+        assert type(caught.value) is InstanceError
+        assert str(caught.value) == (
+            f"Buy.p is flexible and must be an integer, got {shown}"
+        )
+
+    def test_duplicate_null_keys(self, client_buy_schema):
+        from repro import KeyViolationError
+
+        backend = _stored(
+            client_buy_schema, {"Client": [(1, 5), (None, 6), (None, 7)]}
+        )
+        with pytest.raises(KeyViolationError) as caught:
+            backend.load_instance(client_buy_schema)
+        assert str(caught.value) == "duplicate key (None,) in relation 'Client'"
+
+    def test_bad_cell_after_null_key_is_reported_first(self, client_buy_schema):
+        from repro import InstanceError
+
+        backend = _stored(client_buy_schema, {"Client": [(None, 6), (None, "x")]})
+        with pytest.raises(InstanceError) as caught:
+            backend.load_instance(client_buy_schema)
+        assert type(caught.value) is InstanceError
+        assert "got 'x' (str)" in str(caught.value)
+
+    def test_text_key_beside_integer_key_is_distinct(self, client_buy_schema):
+        backend = _stored(client_buy_schema, {"Client": [(1, 5), ("1", 6)]})
+        loaded = backend.load_instance(client_buy_schema)
+        assert loaded.count("Client") == 2
+        assert loaded.get("Client", (1,))["a"] == 5
+        assert loaded.get("Client", ("1",))["a"] == 6
+        assert [t.key for t in loaded.tuples("Client")] == [(1,), ("1",)]
+
+    def test_relations_are_read_one_at_a_time(self, client_buy_schema):
+        from repro import InstanceError
+
+        backend = _stored(client_buy_schema, {"Client": [(1, "bad")]})
+        backend.execute("DROP TABLE Buy")
+        # Client is validated before the missing Buy table is read ...
+        with pytest.raises(InstanceError, match="Client.a is flexible"):
+            backend.load_instance(client_buy_schema)
+        # ... and once Client is clean, the missing table surfaces.
+        backend.execute("UPDATE Client SET a = 1")
+        with pytest.raises(BackendError, match="cannot read table 'Buy'"):
+            backend.load_instance(client_buy_schema)
