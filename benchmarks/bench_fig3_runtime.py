@@ -13,7 +13,9 @@ the four; greedy is faster than both layer variants.
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import time
 
 import pytest
@@ -119,24 +121,37 @@ def test_fig3_shape_assertions(benchmark):
     # the pytest-benchmark groups above rather than on one sample.
 
 
-# -- parallel runtime: serial vs process pool, end to end ---------------------
+# -- parallel runtime: serial vs process pool vs auto, end to end -------------
 
 PARALLEL_CLIENTS = bench_sizes(4_000, quick=2_000)   # total tuples ~= 3x clients
 PARALLEL_WORKERS = 4
+PARALLEL_ROUNDS = 7
+#: ROADMAP goal: ``auto`` is never more than 10% slower than serial.
+AUTO_MIN_SPEEDUP = 0.9
 
 
 def test_parallel_engine_serial_vs_process(benchmark):
-    """End-to-end repair wall clock: serial pipeline vs process pool.
+    """End-to-end repair wall clock: serial vs process pool vs auto.
 
     A multi-component Client/Buy instance (every inconsistent client is
-    its own connected component) is repaired twice through
-    ``repair_database``; the per-stage timings from
-    ``RepairResult.elapsed_seconds`` and the end-to-end speedup land in
-    ``BENCH_parallel.json``.  Correctness is asserted unconditionally:
-    both paths must produce the identical repair.  The speedup itself is
-    only asserted when ``REPRO_BENCH_ENFORCE_SPEEDUP`` is set, because it
-    is a property of the runner (a single-core container cannot speed
-    anything up) - the JSON artifact is what tracks the trajectory.
+    its own connected component) is repaired through ``repair_database``
+    by the serial default (``parallel="serial"``, the undecomposed
+    pipeline), on an explicit process pool and with ``auto`` (the
+    decomposed pipeline, in-process).  :data:`PARALLEL_ROUNDS` rounds run
+    every side once; a speedup is the median over rounds of serial / side
+    wall time, and each side's stage timings
+    (``RepairResult.elapsed_seconds``) come from its median run.  All
+    land in ``BENCH_parallel.json``.
+
+    Correctness is asserted unconditionally: every run must produce the
+    identical repair.  ``speedups.auto_vs_serial_speedup`` is gated
+    against the committed snapshot by ``compare_snapshots.py``.  The
+    speedup floors - process >= 1.5x serial, auto >= 0.9x serial (the
+    ROADMAP goal, not met yet: ``auto`` pays for the decomposition it
+    shares with the pools) - are only asserted when
+    ``REPRO_BENCH_ENFORCE_SPEEDUP`` is set, because they are properties
+    of the runner (a single-core container cannot speed anything up) -
+    the JSON artifact is what tracks the trajectory.
     """
     from repro import repair_database
     from repro.workloads import client_buy_workload
@@ -148,6 +163,7 @@ def test_parallel_engine_serial_vs_process(benchmark):
     assert n_tuples >= 5_000
 
     def run(parallel):
+        gc.collect()  # no side pays for the previous side's garbage
         started = time.perf_counter()
         result = repair_database(
             workload.instance,
@@ -158,10 +174,36 @@ def test_parallel_engine_serial_vs_process(benchmark):
         )
         return result, time.perf_counter() - started
 
+    # Modified greedy's decomposed repair equals the undecomposed one, so
+    # all results match byte for byte.
+    sides = {
+        "serial": "serial",
+        "auto": ExecutionPolicy(backend="auto", max_workers=PARALLEL_WORKERS),
+        "process": ExecutionPolicy(backend="process", max_workers=PARALLEL_WORKERS),
+    }
+
+    def interleaved_rounds():
+        """PARALLEL_ROUNDS rounds, each running every side once in turn."""
+        return [
+            {name: run(parallel) for name, parallel in sides.items()}
+            for _ in range(PARALLEL_ROUNDS)
+        ]
+
+    def median_run(name):
+        runs = sorted((r[name] for r in rounds), key=lambda outcome: outcome[1])
+        return runs[len(runs) // 2]
+
+    def median_speedup(name):
+        """Median over rounds of serial / ``name`` wall time.
+
+        Paired within a round, so drift on a shared host cancels: two
+        sides doing the same work differ by up to 20% in their best of 3
+        separate runs.
+        """
+        return statistics.median(r["serial"][1] / r[name][1] for r in rounds)
+
     def span_breakdown(result):
         """Per-span wall totals from the recorded trace (trace mode only)."""
-        if result.trace is None:
-            return None
         from repro.obs import summarize_trace
 
         return [
@@ -174,21 +216,28 @@ def test_parallel_engine_serial_vs_process(benchmark):
             for row in summarize_trace(result.trace)
         ]
 
-    # 'serial' here is the decomposed pipeline on one worker - the exact
-    # computation the pool distributes, so the comparison isolates the
-    # runtime and the results must match byte for byte.
-    serial_result, serial_seconds = run("serial")
-    parallel_result, parallel_seconds = benchmark.pedantic(
-        lambda: run(ExecutionPolicy(backend="process", max_workers=PARALLEL_WORKERS)),
-        rounds=1,
-        iterations=1,
-    )
+    def side(result, seconds):
+        return {
+            "total_seconds": seconds,
+            "stages": dict(result.elapsed_seconds),
+            "solver_stats": {
+                k: v
+                for k, v in result.solver_stats.items()
+                if isinstance(v, (int, float, str))
+            },
+            **({"spans": span_breakdown(result)} if TRACE else {}),
+        }
 
-    assert parallel_result.changes == serial_result.changes
-    assert parallel_result.cover_weight == serial_result.cover_weight
-    assert parallel_result.repaired == serial_result.repaired
+    rounds = benchmark.pedantic(interleaved_rounds, rounds=1, iterations=1)
+    for outcomes in rounds:
+        serial_result = outcomes["serial"][0]
+        for result, _ in outcomes.values():
+            assert result.changes == serial_result.changes
+            assert result.cover_weight == serial_result.cover_weight
+            assert result.repaired == serial_result.repaired
 
-    speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
+    speedup = median_speedup("process")
+    auto_speedup = median_speedup("auto")
     record_bench_json(
         "parallel",
         {
@@ -199,29 +248,17 @@ def test_parallel_engine_serial_vs_process(benchmark):
                 "quick": QUICK,
             },
             "workers": PARALLEL_WORKERS,
-            "serial": {
-                "total_seconds": serial_seconds,
-                "stages": dict(serial_result.elapsed_seconds),
-                **(
-                    {"spans": span_breakdown(serial_result)} if TRACE else {}
-                ),
-            },
-            "process": {
-                "total_seconds": parallel_seconds,
-                "stages": dict(parallel_result.elapsed_seconds),
-                "solver_stats": {
-                    k: v
-                    for k, v in parallel_result.solver_stats.items()
-                    if isinstance(v, (int, float, str))
-                },
-                **(
-                    {"spans": span_breakdown(parallel_result)} if TRACE else {}
-                ),
-            },
+            "rounds": PARALLEL_ROUNDS,
+            **{name: side(*median_run(name)) for name in sides},
             "speedup": speedup,
+            "speedups": {"auto_vs_serial_speedup": auto_speedup},
             "traced": TRACE,
         },
     )
     benchmark.extra_info["speedup"] = speedup
+    benchmark.extra_info["auto_vs_serial_speedup"] = auto_speedup
     if os.environ.get("REPRO_BENCH_ENFORCE_SPEEDUP"):
         assert speedup >= 1.5, f"expected >= 1.5x, got {speedup:.2f}x"
+        assert auto_speedup >= AUTO_MIN_SPEEDUP, (
+            f"auto is {auto_speedup:.2f}x serial, expected >= {AUTO_MIN_SPEEDUP}x"
+        )

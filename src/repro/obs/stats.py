@@ -17,7 +17,8 @@ key                         type     meaning
 ``frequency``               int      max element frequency f (bound factor, max)
 ``components``              int      decomposition: connected components
 ``oversized_components``    int      components solved by the fallback
-``runtime_backend``         str      executor backend (decomposed runs)
+``runtime_backend``         str      backend the solve stage dispatched to
+                                     (decomposed runs; ``serial`` = in-process)
 ``runtime_workers``         int      resolved worker count
 ``detect_workers``          int      workers used by the detect stage
 ``solve_workers``           int      workers used by the solve stage

@@ -124,12 +124,13 @@ def _planned_parallel(
     from repro.violations.detector import _reintern_constraint
 
     ex = as_executor(executor)
-    if not ex.is_parallel or len(work) <= 1:
+    backend = ex.dispatch_backend
+    if backend == "serial" or len(work) <= 1:
         return None
     tracer = current_tracer()
-    trace_remote = tracer.enabled and ex.backend == "process"
+    trace_remote = tracer.enabled and backend == "process"
     costs = [detection_cost(constraint) for constraint, _ in work]
-    chunks = balanced_chunks(costs, ex.n_chunks(len(work)))
+    chunks = balanced_chunks(costs, ex.instance_batches(len(costs), backend))
     payloads = [
         (
             instance,
@@ -140,7 +141,8 @@ def _planned_parallel(
         for chunk in chunks
     ]
     results: "list[tuple[ViolationSet, ...] | None]" = [None] * len(work)
-    for chunk, outcome in zip(chunks, ex.map(detect_planned_batch, payloads)):
+    outcomes = ex.map(detect_planned_batch, payloads, backend)
+    for chunk, outcome in zip(chunks, outcomes):
         if trace_remote:
             batch, remote = outcome
             tracer.attach_remote(remote)

@@ -118,7 +118,8 @@ def repair_database(
         not match the simplified set).
     parallel:
         ``None``/``False`` (default) keeps the classic serial pipeline.
-        ``True`` picks a backend automatically; a backend name
+        ``True`` (``auto``) takes the decomposed path but runs every stage
+        in-process; a backend name
         (``serial``/``thread``/``process``) or an
         :class:`~repro.runtime.ExecutionPolicy` selects one explicitly.
         Any non-serial request also switches solving to the
@@ -234,7 +235,7 @@ def repair_database(
                 category="pipeline",
                 algorithm=str(algorithm),
                 engine=resolve_engine(engine, instance),
-                backend=executor.backend if decomposed else "serial",
+                backend=policy.backend if decomposed else "serial",
                 tuples=len(instance),
                 constraints=len(constraints),
             )
@@ -242,9 +243,11 @@ def repair_database(
 
         started = time.perf_counter()
         detect_workers = 1
+        detect_backend = "serial"
         with tracer.span("detect", category="stage", anchor=True) as detect_span:
             if violations is None:
                 if executor.is_parallel and len(constraints) > 1:
+                    detect_backend = executor.dispatch_backend
                     detect_workers = min(executor.workers, len(constraints))
                 detect_executor = executor if detect_workers > 1 else None
                 if plan is not None and engine == "auto":
@@ -272,7 +275,12 @@ def repair_database(
                         executor=detect_executor,
                         engine=engine,
                     )
-            detect_span.tag(violations=len(violations), workers=detect_workers)
+            detect_span.tag(
+                violations=len(violations),
+                workers=detect_workers,
+                backend=detect_backend,
+                work=len(instance),
+            )
         if tracer.enabled:
             from repro.violations.degree import degree_of_database
 
@@ -329,13 +337,12 @@ def repair_database(
             len(problem.violations),
             problem.setcover.n_sets,
             algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "?"),
-            f" [{executor.backend} x{executor.workers}]" if decomposed else "",
+            f" [{policy.backend} x{executor.workers}]" if decomposed else "",
         )
         solve_workers = 1
+        solve_backend = "serial"
         with tracer.span("solve", category="stage", anchor=True) as solve_span:
             if decomposed:
-                if executor.is_parallel:
-                    solve_workers = executor.workers
                 cover = solve_by_components(
                     problem.setcover,
                     solver,
@@ -343,12 +350,17 @@ def repair_database(
                     fallback=fallback,
                     executor=executor,
                 )
+                if executor.is_parallel and cover.stats["components"] > 1:
+                    solve_backend = executor.dispatch_backend
+                    solve_workers = executor.workers
             else:
                 cover = solver(problem.setcover)
             solve_span.tag(
                 weight=cover.weight,
                 selected=len(cover.selected),
                 workers=solve_workers,
+                backend=solve_backend,
+                work=problem.setcover.n_elements + problem.setcover.n_sets,
             )
         solved = time.perf_counter()
         logger.info(
@@ -395,7 +407,7 @@ def repair_database(
         solver_stats = dict(cover.stats)
         solver_stats["detection_engine"] = resolve_engine(engine, instance)
         if decomposed:
-            solver_stats["runtime_backend"] = executor.backend
+            solver_stats["runtime_backend"] = solve_backend
             solver_stats["runtime_workers"] = executor.workers
             solver_stats["detect_workers"] = detect_workers
             solver_stats["solve_workers"] = solve_workers

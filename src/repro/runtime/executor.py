@@ -12,7 +12,10 @@ stages one shared dispatch mechanism:
   free of serialization cost, so it is also the safe default for small
   batches;
 * **process** — ``ProcessPoolExecutor``; true CPU parallelism for the
-  pure-Python solver loops, at the cost of pickling the work description.
+  pure-Python solver loops, at the cost of pickling the work description;
+* **auto** — the decomposed pipeline, run in-process
+  (:attr:`ExecutionPolicy.dispatch_backend`): no measured size makes the
+  process pool pay for a repair stage (see :data:`BACKENDS`).
 
 Guarantees, regardless of backend:
 
@@ -40,7 +43,25 @@ from repro.exceptions import ReproError, RuntimeConfigError
 
 logger = logging.getLogger(__name__)
 
-#: Backends selectable by name (``auto`` resolves at execution time).
+#: Backends selectable by name.  ``auto`` asks for the decomposed
+#: pipeline but dispatches nothing (:attr:`ExecutionPolicy.dispatch_backend`).
+#: Detection ships the whole instance per batch, which costs more than
+#: the linear-time detection it would spread.  For component solving, a
+#: sweep of layer solving by components of census households x 3 (dirty
+#: 0.3, seed 7), in-process vs a 2-worker pool, median seconds of 5 (3
+#: from 60k households) on a 2-CPU x86-64 Linux container:
+#:
+#:   households   elements + sets   in-process   pool
+#:        4,000             6,779        0.115   0.312
+#:       20,000            32,652        1.143   1.347
+#:       40,000            65,465        1.960   2.702
+#:       60,000            97,482        2.552   2.774
+#:       90,000           145,115        3.854   3.792
+#:      120,000           193,916        5.766   7.871
+#:
+#: The pool won no size by more than noise: decomposition and the merge
+#: stay in the parent, and a tiny component costs about as much to ship
+#: as to solve.  So there is no work size for ``auto`` to switch at.
 BACKENDS = ("serial", "thread", "process", "auto")
 
 #: Exceptions that indicate the *pool* (not the work) failed: unpicklable
@@ -63,8 +84,9 @@ class ExecutionPolicy:
     Attributes
     ----------
     backend:
-        ``serial``, ``thread``, ``process``, or ``auto`` (process when more
-        than one worker is available, serial otherwise).
+        ``serial``, ``thread``, ``process``, or ``auto``.  Every backend
+        but ``serial`` asks for the decomposed pipeline; ``auto`` runs it
+        in-process (see :attr:`dispatch_backend`).
     max_workers:
         Worker count; ``None`` means ``os.cpu_count()``.
     chunks_per_worker:
@@ -104,16 +126,22 @@ class ExecutionPolicy:
         return os.cpu_count() or 1
 
     @property
-    def effective_backend(self) -> str:
-        """``auto`` resolved against the worker count."""
-        if self.backend == "auto":
-            return "process" if self.workers > 1 else "serial"
+    def dispatch_backend(self) -> str:
+        """The backend the detect and solve stages fan out over.
+
+        An explicit ``thread`` or ``process`` request with more than one
+        worker; ``serial`` (in-process) for ``auto`` (see :data:`BACKENDS`)
+        and for anything that cannot reach a second worker.  Every stage
+        and every report on it resolves through this one property.
+        """
+        if self.backend == "auto" or self.workers <= 1:
+            return "serial"
         return self.backend
 
     @property
     def is_parallel(self) -> bool:
-        """True when this policy can dispatch to more than one worker."""
-        return self.effective_backend in ("thread", "process") and self.workers > 1
+        """True when this policy dispatches to more than one worker."""
+        return self.dispatch_backend != "serial"
 
     @classmethod
     def resolve(
@@ -152,9 +180,9 @@ class Executor:
         self.policy = policy
 
     @property
-    def backend(self) -> str:
-        """The effective backend this executor dispatches to."""
-        return self.policy.effective_backend
+    def dispatch_backend(self) -> str:
+        """See :attr:`ExecutionPolicy.dispatch_backend`."""
+        return self.policy.dispatch_backend
 
     @property
     def workers(self) -> int:
@@ -172,11 +200,30 @@ class Executor:
             return 1
         return max(1, min(n_items, self.workers * self.policy.chunks_per_worker))
 
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
+    def instance_batches(self, n_items: int, backend: str) -> int:
+        """How many bins to split work into when every bin ships the instance.
+
+        One per worker on the ``process`` backend, where each batch
+        pickles the whole instance; :meth:`n_chunks` otherwise (threads
+        share the instance, so over-partitioning still guards against
+        stragglers).
+        """
+        if backend == "process":
+            return max(1, min(n_items, self.workers))
+        return self.n_chunks(n_items)
+
+    def map(
+        self,
+        fn: Callable[[Any], Any],
+        items: Iterable[Any],
+        backend: str,
+    ) -> list[Any]:
         """Apply ``fn`` to every item, returning results in input order.
 
-        Exceptions from ``fn`` propagate.  Pool failures fall back to the
-        serial loop (see module docstring) when the policy allows it.
+        ``backend`` is the stage's resolved choice (normally
+        :attr:`dispatch_backend`).  Exceptions from ``fn`` propagate.
+        Pool failures fall back to the serial loop (see module docstring)
+        when the policy allows it.
 
         Thread-pool workers run under the *dispatching* thread's active
         tracer: activation is thread-local (see :mod:`repro.obs.trace`),
@@ -187,7 +234,6 @@ class Executor:
         ``export_remote``/``attach_remote`` protocol instead.
         """
         items = list(items)
-        backend = self.backend
         if backend == "serial" or self.workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         if backend == "thread":

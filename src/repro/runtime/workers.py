@@ -13,8 +13,9 @@ from this module:
   module-level functions — anything else trips the executor's serial
   fallback.
 * **detection** — a batch of constraints travels together with the
-  instance, so the instance is pickled once per batch instead of once per
-  constraint.
+  instance.  On the process backend detection makes at most one batch
+  per worker, so the instance is pickled once per worker, not once per
+  constraint or per chunk.
 
 Result shapes are plain tuples; the calling stage reassembles them into
 :class:`~repro.setcover.result.Cover` / ``ViolationSet`` values in the

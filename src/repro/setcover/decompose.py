@@ -88,6 +88,9 @@ def decompose(instance: SetCoverInstance) -> tuple[Component, ...]:
         local_of[element] = len(members[index])
         members[index].append(element)
 
+    # Every incidence renumbered once; each set then copies its slice.
+    local = [local_of[e] for e in set_elements]
+    set_weights = instance.weights
     weights: list[list[float]] = [[] for _ in members]
     starts = [[0] for _ in members]
     rows: list[list[int]] = [[] for _ in members]
@@ -98,9 +101,9 @@ def decompose(instance: SetCoverInstance) -> tuple[Component, ...]:
             continue  # empty sets join no component
         index = component_of[set_elements[start]]
         row = rows[index]
-        row.extend(local_of[e] for e in set_elements[start:end])
+        row += local[start:end]
         starts[index].append(len(row))
-        weights[index].append(instance.weights[set_id])
+        weights[index].append(set_weights[set_id])
         set_ids[index].append(set_id)
 
     return tuple(
@@ -158,14 +161,15 @@ def _solve_components_parallel(
     )
 
     ex = as_executor(executor)
-    if not ex.is_parallel or len(components) <= 1:
+    backend = ex.dispatch_backend
+    if backend == "serial" or len(components) <= 1:
         return None
     # Thread workers record into the active tracer directly (under the
     # solve anchor); process workers export a remote payload instead.
     from repro.obs import current_tracer
 
     tracer = current_tracer()
-    trace_remote = tracer.enabled and ex.backend == "process"
+    trace_remote = tracer.enabled and backend == "process"
     tokens = [solver_token(use) for use in chosen]
     costs = [
         float(c.instance.n_elements + c.instance.n_sets) for c in components
@@ -180,7 +184,8 @@ def _solve_components_parallel(
         for chunk in chunks
     ]
     results: list[tuple | None] = [None] * len(components)
-    for chunk, outcome in zip(chunks, ex.map(solve_component_batch, payloads)):
+    outcomes = ex.map(solve_component_batch, payloads, backend)
+    for chunk, outcome in zip(chunks, outcomes):
         if trace_remote:
             batch, remote = outcome
             tracer.attach_remote(remote)
@@ -209,9 +214,11 @@ def solve_by_components(
     :class:`~repro.runtime.Executor`, an
     :class:`~repro.runtime.ExecutionPolicy`, a backend name, or ``True``)
     fans the per-component solves out across workers; ``max_workers``
-    bounds the pool.  Components are independent subproblems and results
-    are merged in component order, so every backend returns the same cover
-    as the serial loop, byte for byte.
+    bounds the pool; ``auto`` solves in-process (see
+    :attr:`~repro.runtime.ExecutionPolicy.dispatch_backend`).  Components
+    are independent subproblems and results are merged in component order,
+    so every backend returns the same cover as the serial loop, byte for
+    byte.
 
     The merged ``stats`` carry the component counts plus the key-wise sum
     of every per-component solver stat (heap operations, layers, B&B

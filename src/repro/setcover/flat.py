@@ -9,9 +9,10 @@ reach.  This module re-hosts the same five algorithms on flat arrays:
   style - ``set_start``/``set_elements`` (set → its element ids) and
   ``element_start``/``element_sets`` (element → ids of sets containing
   it, ascending).  The set → element rows are the instance's own arrays;
-  the inversion is pure Python, and when NumPy is importable (the
-  optional ``repro[kernel]`` extra) it runs as a stable argsort +
-  bincount, producing the exact same arrays;
+  the inversion is a pure-Python counting sort, and for instances of at
+  least :data:`NUMPY_MIN_NNZ` incidences, when NumPy is importable (the
+  optional ``repro[kernel]`` extra), a stable argsort + bincount
+  producing the exact same arrays;
 * **bytearray coverage marks** instead of per-set Python sets, with
   per-set *uncovered counters* maintained by walking the element rows of
   a selected set (total work = total incidence, not |S|² rescans);
@@ -45,6 +46,15 @@ from repro.setcover.heap import IndexedHeap
 from repro.setcover.instance import SetCoverInstance
 from repro.setcover.layer import _tolerance
 from repro.setcover.result import Cover
+
+#: Least incidence count (nnz) inverted with NumPy.  Below it the
+#: fixed cost of the NumPy calls and ``.tolist()`` (~25 us) outweighs the
+#: counting sort.  Best of 5 on a 2-CPU x86-64 Linux container, random
+#: 1-3-element sets: nnz 8 pure 5.5 us vs NumPy 27 us, nnz 48 16-19 vs
+#: 31-34, nnz 64 19-28 vs 33-43, nnz 97 25-40 vs 38-39, nnz 128 49-51
+#: vs 42-45, nnz 257 96-103 vs 62-67.
+NUMPY_MIN_NNZ = 96
+
 
 class FlatSetCover:
     """CSR incidence view of a :class:`SetCoverInstance`.
@@ -99,7 +109,9 @@ class FlatSetCover:
         self.nnz = len(self.set_elements)
 
         self.accelerated = False
-        built = self._invert_numpy()
+        built = None
+        if self.nnz >= NUMPY_MIN_NNZ:
+            built = self._invert_numpy()
         if built is None:
             built = self._invert_pure()
         self.element_start, self.element_sets = built

@@ -84,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["serial", "thread", "process", "auto"],
         help="override the configured runtime backend: fan violation "
         "detection out per constraint and set-cover solving per connected "
-        "component (results are identical on every backend)",
+        "component (results are identical on every backend); 'auto' "
+        "decomposes like the pools but runs every stage in-process, since "
+        "no measured input size made the process pool pay",
     )
     parser.add_argument(
         "--max-workers",

@@ -35,7 +35,9 @@ into text file)."*  We use JSON::
 ``export.mode`` is ``update`` / ``insert`` / ``dump`` (the latter with
 ``destination``).  The optional ``runtime`` block picks the
 parallel-execution backend (``serial`` / ``thread`` / ``process`` /
-``auto``) and worker count for the detection and solving stages, plus the
+``auto``; ``auto`` decomposes like the pools but runs every stage
+in-process, see :data:`~repro.runtime.executor.BACKENDS`) and
+worker count for the detection and solving stages, plus the
 violation-detection ``engine`` (``auto`` / ``kernel`` / ``interpreted`` /
 ``pushdown``, see :mod:`repro.violations.kernels`); it defaults to the
 serial pipeline with the ``auto`` engine, which resolves to ``pushdown``

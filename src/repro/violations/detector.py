@@ -503,9 +503,11 @@ def find_all_violations(
     ``executor`` (anything :func:`repro.runtime.as_executor` accepts) fans
     detection out with one work item per constraint — constraints never
     share violation sets, so the fan-out is shared-nothing.  Constraints
-    are batched by estimated join cost so the instance is serialized once
-    per batch (process backend), and results are concatenated in
-    constraint order: the output is identical to the serial loop.  The
+    are batched by estimated join cost (on the process backend into at
+    most one batch per worker, so the instance is pickled once per
+    worker), and results are concatenated in constraint order: the output
+    is identical to the serial loop.  ``auto`` keeps detection in-process
+    (see :attr:`~repro.runtime.ExecutionPolicy.dispatch_backend`).  The
     ``max_violations`` safety valve keeps working; a tripped valve in any
     worker raises :class:`~repro.exceptions.ConstraintError` here.
 
@@ -549,15 +551,16 @@ def _detect_parallel(
     from repro.runtime.workers import detect_constraint_batch, detection_cost
 
     ex = as_executor(executor)
-    if not ex.is_parallel or len(constraints) <= 1:
+    backend = ex.dispatch_backend
+    if backend == "serial" or len(constraints) <= 1:
         return None
     # Thread workers see the active tracer directly (spans land under the
     # detect anchor); process workers cannot, so ship a trace flag and
     # merge the exported spans/metrics on the way back.
     tracer = current_tracer()
-    trace_remote = tracer.enabled and ex.backend == "process"
+    trace_remote = tracer.enabled and backend == "process"
     costs = [detection_cost(constraint) for constraint in constraints]
-    chunks = balanced_chunks(costs, ex.n_chunks(len(constraints)))
+    chunks = balanced_chunks(costs, ex.instance_batches(len(costs), backend))
     payloads = [
         (
             instance,
@@ -569,7 +572,8 @@ def _detect_parallel(
         for chunk in chunks
     ]
     results: list[tuple[ViolationSet, ...] | None] = [None] * len(constraints)
-    for chunk, outcome in zip(chunks, ex.map(detect_constraint_batch, payloads)):
+    outcomes = ex.map(detect_constraint_batch, payloads, backend)
+    for chunk, outcome in zip(chunks, outcomes):
         if trace_remote:
             batch, remote = outcome
             tracer.attach_remote(remote)
@@ -814,13 +818,14 @@ def _detect_anchored_parallel(
     from repro.runtime.workers import detect_anchored_batch, detection_cost
 
     ex = as_executor(executor)
-    if not ex.is_parallel or len(constraints) <= 1:
+    backend = ex.dispatch_backend
+    if backend == "serial" or len(constraints) <= 1:
         return None
     tracer = current_tracer()
-    trace_remote = tracer.enabled and ex.backend == "process"
-    shipped_indexes = raw_indexes if ex.backend == "thread" else None
+    trace_remote = tracer.enabled and backend == "process"
+    shipped_indexes = raw_indexes if backend == "thread" else None
     costs = [detection_cost(constraint) for constraint in constraints]
-    chunks = balanced_chunks(costs, ex.n_chunks(len(constraints)))
+    chunks = balanced_chunks(costs, ex.instance_batches(len(costs), backend))
     payloads = [
         (
             instance,
@@ -833,7 +838,8 @@ def _detect_anchored_parallel(
         for chunk in chunks
     ]
     results: list[tuple[ViolationSet, ...] | None] = [None] * len(constraints)
-    for chunk, outcome in zip(chunks, ex.map(detect_anchored_batch, payloads)):
+    outcomes = ex.map(detect_anchored_batch, payloads, backend)
+    for chunk, outcome in zip(chunks, outcomes):
         if trace_remote:
             batch, remote = outcome
             tracer.attach_remote(remote)
@@ -870,7 +876,8 @@ def _detect_anchored_sharded(
     from repro.runtime.workers import detect_anchored_shard_batch, detection_cost
 
     ex = as_executor(executor)
-    if not ex.is_parallel:
+    backend = ex.dispatch_backend
+    if backend == "serial":
         return None
     n_shards = min(shards, len(anchors))
     if n_shards <= 1 and len(constraints) <= 1:
@@ -890,8 +897,8 @@ def _detect_anchored_sharded(
         detection_cost(constraints[c_index]) * len(anchor_chunks[s_index])
         for c_index, s_index in units
     ]
-    unit_chunks = balanced_chunks(costs, ex.n_chunks(len(units)))
-    shipped_indexes = raw_indexes if ex.backend == "thread" else None
+    unit_chunks = balanced_chunks(costs, ex.instance_batches(len(costs), backend))
+    shipped_indexes = raw_indexes if backend == "thread" else None
     payloads = [
         (
             instance,
@@ -904,7 +911,8 @@ def _detect_anchored_sharded(
         for chunk in unit_chunks
     ]
     merged: list[set[frozenset[Tuple]]] = [set() for _ in constraints]
-    for chunk, batch in zip(unit_chunks, ex.map(detect_anchored_shard_batch, payloads)):
+    outcomes = ex.map(detect_anchored_shard_batch, payloads, backend)
+    for chunk, batch in zip(unit_chunks, outcomes):
         for u, used_sets in zip(chunk, batch):
             merged[units[u][0]].update(used_sets)
     tracer = current_tracer()

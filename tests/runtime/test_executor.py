@@ -43,13 +43,25 @@ class TestExecutionPolicy:
     def test_resolve_true_is_auto(self):
         policy = ExecutionPolicy.resolve(True, max_workers=4)
         assert policy.backend == "auto"
-        assert policy.effective_backend == "process"
-        assert policy.is_parallel
+        # auto asks for the decomposed pipeline but dispatches in-process.
+        assert policy.dispatch_backend == "serial"
+        assert not policy.is_parallel
 
     def test_auto_with_one_worker_is_serial(self):
         policy = ExecutionPolicy.resolve(True, max_workers=1)
-        assert policy.effective_backend == "serial"
+        assert policy.dispatch_backend == "serial"
         assert not policy.is_parallel
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_explicit_backends_are_honoured(self, backend):
+        policy = ExecutionPolicy(backend=backend, max_workers=2)
+        assert policy.dispatch_backend == backend
+        assert policy.is_parallel == (backend != "serial")
+
+    @pytest.mark.parametrize("backend", ["thread", "process", "auto"])
+    def test_one_worker_runs_in_process(self, backend):
+        policy = ExecutionPolicy(backend=backend, max_workers=1)
+        assert policy.dispatch_backend == "serial"
 
     def test_resolve_backend_names(self):
         for backend in BACKENDS:
@@ -71,31 +83,38 @@ class TestExecutorMap:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_order_preserved(self, backend):
         ex = as_executor(backend, 4)
-        assert ex.map(_square, range(17)) == [i * i for i in range(17)]
+        assert ex.map(_square, range(17), backend) == [i * i for i in range(17)]
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_worker_exceptions_propagate(self, backend):
         ex = as_executor(backend, 4)
         with pytest.raises(ConstraintError):
-            ex.map(_boom, [1, 2, 3])
+            ex.map(_boom, [1, 2, 3], backend)
 
     def test_unpicklable_work_falls_back_to_serial(self):
         ex = as_executor("process", 4)
         captured = []
         # a closure cannot be pickled, so the pool submission fails and the
         # serial fallback must still compute every result in order.
-        results = ex.map(lambda x: captured.append(x) or x + 1, [1, 2, 3])
+        results = ex.map(lambda x: captured.append(x) or x + 1, [1, 2, 3], "process")
         assert results == [2, 3, 4]
         assert captured == [1, 2, 3]
 
     def test_fallback_disabled_surfaces_pool_failure(self):
         policy = ExecutionPolicy(backend="process", max_workers=4, fallback=False)
         with pytest.raises(Exception):
-            Executor(policy).map(lambda x: x, [1, 2])
+            Executor(policy).map(lambda x: x, [1, 2], "process")
 
     def test_single_item_stays_serial(self):
         ex = as_executor("process", 4)
-        assert ex.map(lambda x: x * 3, [5]) == [15]
+        assert ex.map(lambda x: x * 3, [5], "process") == [15]
+
+    def test_instance_batches_cap_only_the_process_backend(self):
+        # Every process batch pickles the instance: one per worker.
+        assert as_executor("process", 2).instance_batches(3, "process") == 2
+        # Threads share it and keep the over-partitioning.
+        threads = as_executor("thread", 2)
+        assert threads.instance_batches(3, "thread") == threads.n_chunks(3) == 3
 
     def test_as_executor_idempotent(self):
         ex = as_executor("thread", 2)

@@ -35,6 +35,7 @@ from repro.setcover import (
     modified_layer_cover,
 )
 from repro.setcover.decompose import solve_by_components
+from repro.setcover.flat import NUMPY_MIN_NNZ
 from repro.setcover.solvers import component_solver
 
 PAIRS = [
@@ -223,6 +224,20 @@ class TestFlatView:
         assert span.duration >= view.build_seconds > 0.0
         assert span.tags["nnz"] == view.nnz
         assert span.tags["seconds"] == view.build_seconds
+
+    @pytest.mark.parametrize("nnz", [NUMPY_MIN_NNZ - 1, NUMPY_MIN_NNZ])
+    def test_numpy_inversion_starts_at_the_cutoff(self, nnz):
+        """Tiny instances (decomposed components) invert in pure Python;
+        both inversions produce the same arrays on either side."""
+        pytest.importorskip("numpy")
+        instance = SetCoverInstance.from_collections(
+            7, [(1.0, [(3 * i) % 7]) for i in range(nnz)]
+        )
+        view = instance.flat()
+        assert view.nnz == nnz
+        assert view.accelerated == (nnz >= NUMPY_MIN_NNZ)
+        built = (view.element_start, view.element_sets)
+        assert built == view._invert_pure() == view._invert_numpy()
 
     def test_build_seconds_not_in_stats(self):
         """Wall clock must never leak into ``Cover.stats`` (determinism)."""
