@@ -10,7 +10,7 @@ handled by the repair algorithms.
 from __future__ import annotations
 
 from functools import partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.exceptions import InstanceError, KeyViolationError
@@ -229,6 +229,36 @@ class DatabaseInstance:
         table[key] = new_tuple
         self._versions[new_tuple.relation.name] += 1
         return old
+
+    def replace_tuples(
+        self, relation_name: str, new_tuples: Iterable[Tuple]
+    ) -> list[Tuple]:
+        """Bulk :meth:`replace_tuple` within one relation.
+
+        Returns the replaced tuples, in the order of ``new_tuples``.  Every
+        key is checked before anything is written, so a missing key raises
+        :class:`InstanceError` and leaves the instance untouched.  The data
+        version rises by the number of tuples replaced - the value a
+        per-tuple :meth:`replace_tuple` loop would leave.
+        """
+        table = self._table(relation_name)
+        new_tuples = list(new_tuples)
+        refs = list(map(attrgetter("ref"), new_tuples))
+        if set(map(attrgetter("relation_name"), refs)) - {relation_name}:
+            raise InstanceError(
+                f"cannot replace: a tuple does not belong to {relation_name!r}"
+            )
+        keys = list(map(attrgetter("key_values"), refs))
+        try:
+            old_tuples = list(map(table.__getitem__, keys))
+        except KeyError as missing:
+            raise InstanceError(
+                f"cannot replace: no tuple with key {missing.args[0]!r} in "
+                f"{relation_name!r}"
+            ) from None
+        table.update(zip(keys, new_tuples))
+        self._versions[relation_name] += len(new_tuples)
+        return old_tuples
 
     def delete(self, relation_name: str, key: tuple[Any, ...]) -> Tuple:
         """Remove and return the tuple with the given key."""

@@ -23,6 +23,7 @@ Three output forms, one input (:class:`~repro.obs.spans.Trace`):
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -106,20 +107,26 @@ def chrome_trace(trace: Trace) -> dict[str, Any]:
 
     ``ts``/``dur`` are integer microseconds relative to the earliest root
     span (the epoch, preserved in ``otherData`` so
-    :func:`trace_from_chrome` can restore absolute wall times).  Span
-    tags land in ``args`` next to ``cpu_us``.
+    :func:`trace_from_chrome` can restore absolute wall times).  ``ts``
+    rounds the start down and ``ts + dur`` the end up, so a span inside
+    its parent stays inside it after rounding.  Span tags land in
+    ``args`` next to ``cpu_us``.
     """
     epoch = min((root.start for root in trace.roots), default=0.0)
     events: list[dict[str, Any]] = []
 
     def emit(span: Span) -> None:
+        # Both ends map through the same monotone ``(t - epoch) * 1e6``.
+        ts = max(0, math.floor((span.start - epoch) * 1_000_000))
+        end = span.start + (span.duration or 0.0)
+        end = max(ts, math.ceil((end - epoch) * 1_000_000))
         events.append(
             {
                 "name": span.name,
                 "cat": span.category or "span",
                 "ph": "X",
-                "ts": max(0, round((span.start - epoch) * 1_000_000)),
-                "dur": max(0, round((span.duration or 0.0) * 1_000_000)),
+                "ts": ts,
+                "dur": end - ts,
                 "pid": span.pid,
                 "tid": span.tid,
                 "args": {"cpu_us": round((span.cpu or 0.0) * 1_000_000), **span.tags},
@@ -165,9 +172,10 @@ def trace_from_chrome(data: Mapping[str, Any]) -> Trace:
     roots: list[Span] = []
     for (pid, tid), row_events in sorted(rows.items()):
         # Containment stacking: by start ascending, then duration descending,
-        # an event's parent is the innermost open interval containing it.
+        # an event's parent is the innermost open interval containing it
+        # (a zero-length event at a parent's end included).
         row_events.sort(key=lambda e: (e["ts"], -e["dur"]))
-        stack: list[tuple[int, int, Span]] = []  # (ts, ts+dur, span)
+        stack: list[tuple[int, Span]] = []  # (ts + dur, span)
         for event in row_events:
             args = dict(event.get("args", {}))
             cpu_us = args.pop("cpu_us", 0)
@@ -183,14 +191,11 @@ def trace_from_chrome(data: Mapping[str, Any]) -> Trace:
             span.children = []
             span._perf0 = 0.0
             span._cpu0 = 0.0
-            start, end = event["ts"], event["ts"] + event["dur"]
-            while stack and start >= stack[-1][1]:
+            end = event["ts"] + event["dur"]
+            while stack and end > stack[-1][0]:
                 stack.pop()
-            if stack and end <= stack[-1][1]:
-                stack[-1][2].children.append(span)
-            else:
-                roots.append(span)
-            stack.append((start, end, span))
+            (stack[-1][1].children if stack else roots).append(span)
+            stack.append((end, span))
     roots.sort(key=lambda span: span.start)
     return Trace(
         roots=roots,

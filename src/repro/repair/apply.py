@@ -12,64 +12,53 @@ Given a cover ``C`` of ``(U, S, w)^{(D,IC)}``:
   the nearer one did (Section 3, remark after Algorithm 1);
 * ``D(C)`` replaces each affected tuple by its combined fix
   (Definition 3.2(b)).
+
+The walk reads the reduction's set columns (see
+:class:`~repro.repair.builder.RepairProblem`).  Sets are numbered in
+(tuple ref, attribute, new value) order, so the sorted set ids of a cover
+visit tuples in ref order and each tuple's attributes in name order, and
+the fixes of one (tuple, attribute) are adjacent.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import NamedTuple
 
-from repro.fixes.distance import tuple_delta
-from repro.fixes.mlf import FixCandidate
+from repro.exceptions import InstanceError
 from repro.model.instance import DatabaseInstance
-from repro.model.tuples import TupleRef
+from repro.model.tuples import Tuple, _trusted_tuple
 from repro.repair.builder import RepairProblem
 from repro.repair.result import CellChange
 from repro.setcover.result import Cover
 
 
-def merge_cover_fixes(
-    problem: RepairProblem, selected: Iterable[int]
-) -> dict[TupleRef, dict[str, CellChange]]:
-    """Compute ``C*``: per-tuple, per-attribute winning updates.
+class AppliedCover(NamedTuple):
+    """What :func:`apply_cover` did.
 
-    Returns ``{tuple ref: {attribute: change}}`` after subsumption.
+    ``repaired`` is ``D(C)``, ``changes`` the applied cell updates in
+    (tuple ref, attribute) order and ``distance`` is ``Δ(D, D(C))``.
+    ``replaced`` pairs every replaced tuple with its replacement, as
+    ``(old, new)`` grouped by relation and in ref order within one; the
+    streaming commit maintains its join indexes from them.
     """
-    merged: dict[TupleRef, dict[str, CellChange]] = {}
-    for set_id in selected:
-        candidate: FixCandidate = problem.candidate(set_id)
-        per_attribute = merged.setdefault(candidate.ref, {})
-        change = CellChange(
-            ref=candidate.ref,
-            attribute=candidate.attribute,
-            old_value=candidate.old[candidate.attribute],
-            new_value=candidate.new_value,
-            weight=candidate.weight,
-        )
-        incumbent = per_attribute.get(candidate.attribute)
-        if incumbent is None or _subsumes(change, incumbent):
-            per_attribute[candidate.attribute] = change
-    return merged
 
-
-def _subsumes(challenger: CellChange, incumbent: CellChange) -> bool:
-    """True when ``challenger`` replaces ``incumbent`` (same tuple+attribute).
-
-    The farther move (higher weight) subsumes the nearer one; ties break on
-    the new value to stay deterministic.
-    """
-    if challenger.weight != incumbent.weight:
-        return challenger.weight > incumbent.weight
-    return challenger.new_value > incumbent.new_value
+    repaired: DatabaseInstance
+    changes: tuple[CellChange, ...]
+    distance: float
+    replaced: tuple[tuple[Tuple, Tuple], ...]
 
 
 def apply_cover(
     problem: RepairProblem, cover: Cover, in_place: bool = False
-) -> tuple[DatabaseInstance, tuple[CellChange, ...], float]:
+) -> AppliedCover:
     """Build ``D(C)`` from a cover.
 
-    Returns ``(repaired instance, applied changes, Δ(D, D(C)))``.  The
-    distance is recomputed from the actually-applied combined fixes, so it
-    accounts for subsumption (it can be below the cover weight).
+    The distance ``Δ(D, D(C))`` is the sum of the applied fixes' weights,
+    so it accounts for subsumption (it can be below the cover weight).
+    Per tuple the weights are added in attribute-position order, and the
+    tuple sums in ref order: the same float the Definition 2.1 sum over
+    every flexible cell gives, since an unchanged cell adds exactly 0.0
+    and a changed cell adds the weight the reduction computed for it.
 
     ``in_place=True`` mutates ``problem.instance`` directly instead of
     copying it first - the streaming commit path owns a private instance
@@ -77,20 +66,85 @@ def apply_cover(
     replacements are identical either way, so the resulting content is
     byte-equal to the copying path.
     """
-    merged = merge_cover_fixes(problem, cover.selected)
+    tuples = problem.tuples
+    slots = problem.set_slots
+    descriptors = problem.set_descriptors
+    values = problem.set_values
+    weights = problem.setcover.weights
+
+    # C*: the selected fixes of each tuple, one per attribute in name
+    # order.  Of several fixes of one (tuple, attribute) the subsuming one
+    # stays - the highest (weight, new value), a strict total order, so
+    # the winner does not depend on the order of the cover's sets.  Plain
+    # int lists only: nothing here feeds the garbage collector.
+    winners: list[int] = []
+    last_slot = -1
+    last_attribute = None
+    for set_id in sorted(cover.selected):
+        slot = slots[set_id]
+        attribute = descriptors[set_id].attribute
+        if slot != last_slot or attribute != last_attribute:
+            winners.append(set_id)
+            last_slot, last_attribute = slot, attribute
+        elif (weights[set_id], values[set_id]) > (
+            weights[winners[-1]],
+            values[winners[-1]],
+        ):
+            winners[-1] = set_id
+
     repaired = problem.instance if in_place else problem.instance.copy()
+    relations = {relation.name: relation for relation in repaired.schema}
+    checked: set[int] = set()
     changes: list[CellChange] = []
-    total_distance = 0.0
-    for ref in sorted(merged):
-        per_attribute = merged[ref]
-        old = repaired.resolve(ref)
-        updates = {
-            change.attribute: change.new_value
-            for change in per_attribute.values()
-        }
-        new = old.replace(updates)
-        repaired.replace_tuple(new)
-        total_distance += tuple_delta(old, new, problem.metric)
-        for attribute in sorted(per_attribute):
-            changes.append(per_attribute[attribute])
-    return repaired, tuple(changes), total_distance
+    written: dict[str, list[Tuple]] = {}
+    distance = 0.0
+    end = len(winners)
+    start = 0
+    while start < end:
+        slot = slots[winners[start]]
+        stop = start + 1
+        while stop < end and slots[winners[stop]] == slot:
+            stop += 1
+        run = winners[start:stop]             # one tuple's fixes
+        start = stop
+        old = tuples[slot]
+        relation = relations[old.relation.name]
+        ref = old.ref
+        old_values = old.values
+        new_values = list(old_values)
+        for set_id in run:
+            descriptor = descriptors[set_id]
+            attribute = descriptor.attribute
+            value = values[set_id]
+            if id(descriptor) not in checked:
+                if relation.is_key_attribute(attribute):
+                    raise InstanceError(
+                        f"cannot update key attribute {relation.name}.{attribute}"
+                    )
+                checked.add(id(descriptor))
+            if not isinstance(value, int):
+                raise InstanceError(
+                    f"{relation.name}.{attribute} is flexible and must be "
+                    f"an integer, got {value!r} ({type(value).__name__})"
+                )
+            position = descriptor.position
+            new_values[position] = value
+            changes.append(
+                CellChange(ref, attribute, old_values[position], value, weights[set_id])
+            )
+        # Δ({t}, {t*}) in attribute-position order, as Definition 2.1 sums.
+        if len(run) > 1:
+            run.sort(key=lambda set_id: descriptors[set_id].position)
+        delta = 0.0
+        for set_id in run:
+            delta += weights[set_id]
+        distance += delta
+        written.setdefault(relation.name, []).append(
+            _trusted_tuple(relation, tuple(new_values), ref)
+        )
+
+    replaced: list[tuple[Tuple, Tuple]] = []
+    for relation_name, new_tuples in written.items():
+        old_tuples = repaired.replace_tuples(relation_name, new_tuples)
+        replaced.extend(zip(old_tuples, new_tuples))
+    return AppliedCover(repaired, tuple(changes), distance, tuple(replaced))

@@ -20,7 +20,8 @@ shape allows it (see DESIGN.md, "The reduction"); and the incidence is
 written straight into the CSR arrays of the
 :class:`~repro.setcover.instance.SetCoverInstance`.  The
 :class:`~repro.fixes.mlf.FixCandidate` of a set is only built when it is
-asked for - a repair asks for the selected sets.
+asked for (explain output does); a repair reads the set columns of the
+:class:`RepairProblem` and builds none.
 """
 
 from __future__ import annotations
@@ -49,8 +50,13 @@ from repro.violations.detector import ViolationSet, find_all_violations
 class RepairProblem:
     """A fully-built repair problem: database, universe, and MWSCP instance.
 
-    ``setcover.sets[i].payload`` is the :class:`FixCandidate` realizing set
-    ``i``; ``violations[j]`` is universe element ``j``.
+    ``violations[j]`` is universe element ``j``.  Set ``i`` is the fix
+    ``tuples[set_slots[i]][set_descriptors[i].attribute] := set_values[i]``
+    with weight ``setcover.weights[i]``, proposed by the constraints
+    labelled ``set_sources[i]`` (a label, or a tuple of labels).  Sets are
+    numbered in (tuple ref, attribute, new value) order.  These columns are
+    the one representation of the fixes: ``setcover.sets[i].payload`` is
+    the :class:`FixCandidate` built from them on request.
     """
 
     instance: DatabaseInstance
@@ -58,6 +64,11 @@ class RepairProblem:
     metric: DistanceMetric
     violations: tuple[ViolationSet, ...]
     setcover: SetCoverInstance
+    tuples: Sequence[Tuple]
+    set_slots: Sequence[int]
+    set_descriptors: Sequence[FixDescriptor]
+    set_values: Sequence[int]
+    set_sources: Sequence[str | tuple[str, ...]]
 
     @property
     def is_consistent(self) -> bool:
@@ -201,7 +212,10 @@ def build_repair_problem(
     weights: list[float] = []
     set_start = [0]
     set_elements: list[int] = []
-    chosen: list[int] = []              # candidate index of each set
+    set_slots: list[int] = []
+    set_descriptors: list[FixDescriptor] = []
+    set_values: list[int] = []
+    set_sources: list = []
     point = metric.point
     for i in order:
         slot = slots[i]
@@ -231,17 +245,19 @@ def build_repair_problem(
         weights.append(
             descriptor.alpha * point(tup.values[descriptor.position], new_value)
         )
-        chosen.append(i)
+        set_slots.append(slot)
+        set_descriptors.append(descriptor)
+        set_values.append(new_value)
+        set_sources.append(labels[i])
 
     def candidate(set_id: int) -> FixCandidate:
-        i = chosen[set_id]
-        old = tuples[slots[i]]
-        sources = labels[i]
+        old = tuples[set_slots[set_id]]
+        sources = set_sources[set_id]
         return FixCandidate(
             ref=old.ref,
             old=old,
-            attribute=descriptors_used[i].attribute,
-            new_value=new_values[i],
+            attribute=set_descriptors[set_id].attribute,
+            new_value=set_values[set_id],
             weight=weights[set_id],
             solves=tuple(set_elements[set_start[set_id] : set_start[set_id + 1]]),
             sources=(sources,) if isinstance(sources, str) else sources,
@@ -262,4 +278,9 @@ def build_repair_problem(
         metric=metric,
         violations=violations,
         setcover=setcover,
+        tuples=tuples,
+        set_slots=set_slots,
+        set_descriptors=set_descriptors,
+        set_values=set_values,
+        set_sources=set_sources,
     )

@@ -371,7 +371,7 @@ def repair_database(
         )
 
         with tracer.span("apply", category="stage") as apply_span:
-            repaired, changes, distance = apply_cover(problem, cover)
+            repaired, changes, distance, _ = apply_cover(problem, cover)
             apply_span.tag(changes=len(changes), distance=distance)
         applied = time.perf_counter()
 

@@ -48,7 +48,7 @@ def all_optimal_repairs(
     distances: dict[int, float] = {}
     for cover_sets in covers:
         cover = Cover(tuple(sorted(cover_sets)), 0.0, "enumerated")
-        repaired, _changes, _distance = apply_cover(problem, cover)
+        repaired = apply_cover(problem, cover).repaired
         key = _instance_key(repaired)
         if key not in candidates:
             candidates[key] = repaired

@@ -166,7 +166,7 @@ class IncrementalRepairer:
                     check_locality=False,
                 )
                 cover = self._solve(problem.setcover)
-                self._instance, _, _ = apply_cover(problem, cover)
+                self._instance = apply_cover(problem, cover).repaired
         self._staged: list[Tuple] = []
         # Persistent join indexes keep anchored detection sublinear across
         # commits; built lazily on the (now consistent) working instance.
@@ -319,16 +319,16 @@ class IncrementalRepairer:
         The snapshot path preserves the historical copy-on-apply swap
         (and carries the warm columnar store across it via
         :func:`repro.model.columnar.transfer_store`); the streaming path
-        mutates the working instance in place, so join indexes are
-        maintained from the changes' recorded old values and the columnar
-        store invalidates itself through the bumped data versions.
+        mutates the working instance in place, and the columnar store
+        invalidates itself through the bumped data versions.  Either way
+        the join indexes are maintained from the tuples the bulk write
+        replaced.
         """
+        repaired, changes, distance, replaced = apply_cover(
+            problem, cover, in_place=not snapshot
+        )
+        self._join_indexes.notify_replacements(replaced)
         if snapshot:
-            repaired, changes, distance = apply_cover(problem, cover)
-            for ref in {change.ref for change in changes}:
-                self._join_indexes.notify_replace(
-                    self._instance.resolve(ref), repaired.resolve(ref)
-                )
             transfer_store(
                 self._instance,
                 repaired,
@@ -336,16 +336,6 @@ class IncrementalRepairer:
             )
             self._instance = repaired
             self._join_indexes.rebind(self._instance)
-            return repaired, changes, distance
-        repaired, changes, distance = apply_cover(problem, cover, in_place=True)
-        old_values_by_ref: dict[Any, dict[str, Any]] = {}
-        for change in changes:
-            old_values_by_ref.setdefault(change.ref, {})[
-                change.attribute
-            ] = change.old_value
-        for ref, old_values in old_values_by_ref.items():
-            new = self._instance.resolve(ref)
-            self._join_indexes.notify_replace(new.replace(old_values), new)
         return repaired, changes, distance
 
     @property

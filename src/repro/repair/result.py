@@ -57,8 +57,9 @@ class RepairResult:
     solver_iterations / solver_stats:
         Bookkeeping from the set-cover solver.
     elapsed_seconds:
-        Wall-clock split per phase: ``detect``, ``build``, ``solve``,
-        ``apply`` (the paper's Figure 3 reports the ``solve`` component).
+        Wall-clock split per stage: ``detect``, ``reduce``, ``solve``,
+        ``apply``, ``verify`` (the paper's Figure 3 reports the ``solve``
+        component; ``verify`` is 0.0 when the run did not verify).
         On a traced run these values are read off the stage spans, so
         the dict and the trace always agree.
     trace:

@@ -128,6 +128,31 @@ class TestMutation:
     def test_copy_equal(self, instance):
         assert instance.copy() == instance
 
+    def test_replace_tuples_matches_per_tuple_loop(self, instance, schema):
+        buy = schema.relation("Buy")
+        new = [Tuple(buy, (2, 0, 70)), Tuple(buy, (1, 0, 5))]
+        looped = instance.copy()
+        expected_old = [looped.replace_tuple(t) for t in new]
+        bulk = instance.copy()
+        assert bulk.replace_tuples("Buy", new) == expected_old
+        assert bulk == looped
+        assert bulk.data_version("Buy") == looped.data_version("Buy") == 2
+        assert bulk.data_version("Client") == 0
+
+    def test_replace_tuples_missing_key_writes_nothing(self, instance, schema):
+        client = schema.relation("Client")
+        before, version = instance.copy(), instance.data_version("Client")
+        with pytest.raises(InstanceError, match=r"no tuple with key \(7,\)"):
+            instance.replace_tuples(
+                "Client", [Tuple(client, (2, 18)), Tuple(client, (7, 18))]
+            )
+        assert instance == before
+        assert instance.data_version("Client") == version
+
+    def test_replace_tuples_rejects_other_relation(self, instance, schema):
+        with pytest.raises(InstanceError, match="does not belong to 'Buy'"):
+            instance.replace_tuples("Buy", [Tuple(schema.relation("Client"), (2, 18))])
+
 
 class TestComparison:
     def test_same_key_sets(self, instance, schema):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
@@ -100,6 +101,77 @@ class TestChromeRoundTrip:
     def test_rejects_non_chrome_payload(self):
         with pytest.raises(ReproError):
             trace_from_chrome({"foo": "bar"})
+
+
+def _span_tree(name, start, duration, children=()):
+    return Span.from_dict(
+        {
+            "name": name,
+            "start": start,
+            "duration": duration,
+            "pid": 1,
+            "tid": 1,
+            "children": [child.to_dict() for child in children],
+        }
+    )
+
+
+def _shape(span):
+    return (span.name, [_shape(child) for child in span.children])
+
+
+class TestChromeBoundaries:
+    """Rounding to whole microseconds must not re-parent a span."""
+
+    def test_zero_length_child_at_parent_end_stays_nested(self):
+        # parent covers [0.4, 10.8] us after the epoch; rounding ts and dur
+        # on their own gave it [0, 10] and put the child's start at 11.
+        epoch = 1000.0
+        parent_start, parent_duration = epoch + 0.4e-6, 10.4e-6
+        child = _span_tree("child", parent_start + parent_duration, 0.0)
+        parent = _span_tree("parent", parent_start, parent_duration, [child])
+        root = _span_tree("root", epoch, 100e-6, [parent])
+        rebuilt = trace_from_chrome(chrome_trace(Trace(roots=(root,))))
+        assert [_shape(r) for r in rebuilt.roots] == [_shape(root)]
+
+    def test_zero_length_event_at_parent_end_is_its_child(self):
+        events = [
+            {"name": "parent", "ph": "X", "ts": 0, "dur": 10, "pid": 1, "tid": 1},
+            {"name": "child", "ph": "X", "ts": 10, "dur": 0, "pid": 1, "tid": 1},
+            {"name": "next", "ph": "X", "ts": 11, "dur": 5, "pid": 1, "tid": 1},
+        ]
+        rebuilt = trace_from_chrome({"traceEvents": events})
+        assert [_shape(r) for r in rebuilt.roots] == [
+            ("parent", [("child", [])]),
+            ("next", []),
+        ]
+
+    def test_random_nested_trees_round_trip(self):
+        rng = random.Random(7)
+
+        def build(name, start, duration, depth):
+            # Siblings sit at least 2 us apart: closer ones are ambiguous
+            # at microsecond resolution.  A child may touch either end of
+            # its parent and may have zero length.
+            children, cursor = [], start
+            for index in range(rng.randint(0, 3) if depth < 3 else 0):
+                gap = rng.choice([0.0, rng.random() * 3e-6])
+                child_start = min(cursor + gap, start + duration)
+                if index and child_start - cursor < 2e-6:
+                    break
+                room = start + duration - child_start
+                child_duration = rng.choice([0.0, rng.random() * room, room])
+                children.append(
+                    build(f"{name}.{index}", child_start, child_duration, depth + 1)
+                )
+                cursor = child_start + child_duration
+            return _span_tree(name, start, duration, children)
+
+        for trial in range(200):
+            epoch = 1_700_000_000.0 + rng.random()
+            root = build(f"r{trial}", epoch, rng.random() * 40e-6, 0)
+            rebuilt = trace_from_chrome(chrome_trace(Trace(roots=(root,))))
+            assert [_shape(r) for r in rebuilt.roots] == [_shape(root)]
 
 
 class TestSummaryAndTree:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import IncrementalRepairer, RepairError, is_consistent
 from repro.violations.detector import find_violations_involving
+from repro.violations.indexes import JoinIndexCache
 from repro.workloads import client_buy_workload
 
 
@@ -118,6 +119,36 @@ class TestBatches:
             result = repairer.commit(verify=True)
             assert result.violations_before == 1
         assert is_consistent(repairer.instance, small_clientbuy.constraints)
+
+
+    @pytest.mark.parametrize("snapshot", [True, False])
+    def test_join_indexes_match_fresh_build_after_commit(
+        self, small_clientbuy, snapshot
+    ):
+        """Maintenance from the replaced tuples leaves no stale index entry."""
+        repairer = IncrementalRepairer(
+            small_clientbuy.instance, small_clientbuy.constraints
+        )
+        for round_ in range(3):
+            client = 950 + round_
+            repairer.insert("Client", (client, 15, 10))
+            repairer.insert("Buy", (client, 0, 99))
+            repairer.update("Client", (round_,), a=12, c=90)
+            result = repairer.commit(verify=True, snapshot=snapshot)
+            assert result.changes
+        cache = repairer._join_indexes
+        assert cache.built_signatures
+        fresh = JoinIndexCache(repairer._instance)
+        for signature in cache.built_signatures:
+            assert _as_sorted(cache.get(signature)) == _as_sorted(fresh.get(signature))
+
+
+def _as_sorted(index):
+    return {
+        key: sorted(tuples, key=lambda t: t.ref.sort_key)
+        for key, tuples in index.items()
+        if tuples
+    }
 
 
 class TestAnchoredDetection:
