@@ -4,20 +4,16 @@ Two experiments over the TPC-H-like generator (clean at the start,
 seeded independent corruptions streamed in):
 
 * **round throughput** - the same deterministic update stream is repaired
-  three ways: the status-quo per-update loop (``IncrementalRepairer``
+  two ways: the status-quo per-update loop (``IncrementalRepairer``
   with one snapshotting ``commit()`` per operation, each paying O(|D|)
-  copies), the streaming pipeline (``StreamingRepairer`` batching
-  ``COMMIT_INTERVAL`` operations per snapshot-free round), and the
-  streaming pipeline with sharded Δ-anchored detection.  All three final
+  copies) and the streaming pipeline (``StreamingRepairer`` batching
+  ``COMMIT_INTERVAL`` operations per snapshot-free round).  Both final
   databases must be byte-identical to a cold batch
   ``repair_database`` of the fully-mutated input, and at the largest
   scale the batched pipeline must sustain **>= 2x** the per-update
   throughput - the always-on acceptance ratchet
   (``speedups.round_speedup`` in ``BENCH_streaming.json``, diffed by CI
-  via ``compare_snapshots.py``).  The sharded ratio is recorded
-  informationally: anchor-shard threads contend on the GIL for this
-  pure-Python detection work, so wall-clock parallel wins are a property
-  of the runner, not the code (same policy as ``BENCH_parallel``).
+  via ``compare_snapshots.py``).
 
 * **endurance** - a fixed wall-clock budget of streamed operations
   (timeout-guarded by an operation cap) through one traced
@@ -55,7 +51,6 @@ SCALES = bench_sizes([1.0, 4.0], quick=[2.0])
 LARGEST = SCALES[-1]
 N_OPS = bench_sizes(400, quick=200)
 COMMIT_INTERVAL = 32
-SHARDS = 4
 SEED = 7
 
 #: Endurance run: wall budget (seconds) and the op cap guarding against
@@ -132,14 +127,13 @@ def _run_per_update(workload, ops) -> tuple[float, object]:
     return time.perf_counter() - started, repairer.instance
 
 
-def _run_streaming(workload, ops, shards=None) -> tuple[float, object]:
+def _run_streaming(workload, ops) -> tuple[float, object]:
     """The pipeline: coalescing queue, snapshot-free batched rounds."""
     streamer = StreamingRepairer(
         workload.instance,
         workload.constraints,
         commit_interval=COMMIT_INTERVAL,
         max_pending=None,
-        shards=shards,
     )
     started = time.perf_counter()
     for relation_name, key, changes in ops:
@@ -157,19 +151,15 @@ def test_streaming_round_throughput(scale):
 
     serial_seconds, serial_instance = _run_per_update(workload, ops)
     batched_seconds, batched_instance = _run_streaming(workload, ops)
-    sharded_seconds, sharded_instance = _run_streaming(workload, ops, shards=SHARDS)
 
-    # Byte parity: round boundaries and sharding never change the repair.
+    # Byte parity: round boundaries never change the repair.
     assert serial_instance == expected
     assert batched_instance == expected
-    assert sharded_instance == expected
 
     round_speedup = serial_seconds / batched_seconds if batched_seconds else 0.0
-    sharded_ratio = serial_seconds / sharded_seconds if sharded_seconds else 0.0
     n_tuples = len(workload.instance)
     record_point(TABLE, "per-update", n_tuples, len(ops) / serial_seconds)
     record_point(TABLE, "batched", n_tuples, len(ops) / batched_seconds)
-    record_point(TABLE, "sharded", n_tuples, len(ops) / sharded_seconds)
 
     payload = {
         "scale": {
@@ -177,11 +167,8 @@ def test_streaming_round_throughput(scale):
                 "n_tuples": n_tuples,
                 "ops": len(ops),
                 "commit_interval": COMMIT_INTERVAL,
-                "shards": SHARDS,
                 "per_update_seconds": serial_seconds,
                 "batched_seconds": batched_seconds,
-                "sharded_seconds": sharded_seconds,
-                "sharded_ratio": sharded_ratio,
                 "parity": True,
             }
         },

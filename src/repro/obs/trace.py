@@ -1,4 +1,4 @@
-"""Tracer: span lifecycle, thread fan-in, process-worker merging.
+"""Tracer: span lifecycle, thread-local activation, process-worker merging.
 
 One :class:`Tracer` observes one traced run (a ``repair_database`` call,
 an :class:`~repro.repair.incremental.IncrementalRepairer` lifetime, a
@@ -18,31 +18,24 @@ tracer's ``span()`` returns one shared no-op context manager and its
 attribute lookups per instrumented site - no spans are ever created
 (the overhead-regression suite in ``tests/obs`` pins this down).
 
-Thread fan-in
-    Activation is **thread-local first**: the tracer a thread activated
-    is what its own ``current_tracer()`` calls see, so two concurrent
-    traced runs on different threads (the job runtime of
-    :mod:`repro.service` runs many) never interleave spans into each
-    other's traces.  Threads that never activated anything fall back to
-    the most recent activation process-wide, which keeps plain
-    single-run tracing working for ad-hoc helper threads.  The
-    :class:`~repro.runtime.executor.Executor` explicitly re-activates
-    the dispatching thread's tracer inside its thread-pool workers, so
-    fan-out always lands in the right trace.  A span opened on a pool
-    thread whose stack is empty attaches to the tracer's *anchor* - the
-    innermost open span that was started with ``anchor=True`` (the
-    engine marks its ``detect`` and ``solve`` stage spans that way) - so
-    thread-pool workers' spans nest under the stage that dispatched
-    them.
+Thread-local activation
+    The tracer a thread activated is what its own ``current_tracer()``
+    calls see, so two concurrent traced runs on different threads (the
+    job runtime of :mod:`repro.service` runs many on its bridge threads)
+    never interleave spans into each other's traces.  Threads that never
+    activated anything fall back to the most recent activation
+    process-wide, which keeps plain single-run tracing working for
+    ad-hoc helper threads; a span such a thread opens on an empty stack
+    becomes a root.
 
 Process fan-in
     Process-pool workers cannot see the parent's tracer.  The runtime
     ships a ``trace`` flag with each work batch; the worker runs under a
     fresh local tracer, exports it with :meth:`Tracer.export_remote`
     (span dicts + metric snapshot, all picklable), and the parent folds
-    it back in with :meth:`Tracer.attach_remote` - spans are clamped
-    into the receiving stage span when it closes, metrics merge
-    (counters add, gauges max).
+    it back in with :meth:`Tracer.attach_remote` under the dispatching
+    thread's current span - spans are clamped into that stage span when
+    it closes, metrics merge (counters add, gauges max).
 """
 
 from __future__ import annotations
@@ -66,21 +59,14 @@ __all__ = [
 class _OpenSpan:
     """Context manager driving one span's lifecycle on the owning tracer."""
 
-    __slots__ = ("_tracer", "_span", "_anchor", "_prev_anchor")
+    __slots__ = ("_tracer", "_span")
 
-    def __init__(self, tracer: "Tracer", span: Span, anchor: bool) -> None:
+    def __init__(self, tracer: "Tracer", span: Span) -> None:
         self._tracer = tracer
         self._span = span
-        self._anchor = anchor
-        self._prev_anchor: Span | None = None
 
     def __enter__(self) -> Span:
-        tracer = self._tracer
-        stack = tracer._stack()
-        stack.append(self._span)
-        if self._anchor:
-            self._prev_anchor = tracer._anchor
-            tracer._anchor = self._span
+        self._tracer._stack().append(self._span)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -89,12 +75,10 @@ class _OpenSpan:
         stack = tracer._stack()
         if stack and stack[-1] is span:
             stack.pop()
-        if self._anchor:
-            tracer._anchor = self._prev_anchor
         if exc_type is not None:
             span.tag(error=exc_type.__name__)
         span.close()
-        parent = stack[-1] if stack else tracer._anchor
+        parent = stack[-1] if stack else None
         with tracer._lock:
             if parent is not None and parent is not span:
                 parent.children.append(span)
@@ -157,7 +141,6 @@ class Tracer:
         self._roots: list[Span] = []
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._anchor: Span | None = None
 
     # -- span lifecycle -----------------------------------------------------
 
@@ -167,21 +150,14 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    def span(
-        self, name: str, category: str = "", anchor: bool = False, **tags: Any
-    ) -> _OpenSpan:
-        """Open a span; use as ``with tracer.span(...) as span:``.
-
-        ``anchor=True`` additionally makes the span the attachment point
-        for spans opened on foreign threads while it is open (see the
-        module docstring).
-        """
-        return _OpenSpan(self, Span(name, category, tags), anchor)
+    def span(self, name: str, category: str = "", **tags: Any) -> _OpenSpan:
+        """Open a span; use as ``with tracer.span(...) as span:``."""
+        return _OpenSpan(self, Span(name, category, tags))
 
     def current(self) -> Span | None:
-        """The innermost open span on the calling thread (or the anchor)."""
+        """The innermost open span on the calling thread."""
         stack = self._stack()
-        return stack[-1] if stack else self._anchor
+        return stack[-1] if stack else None
 
     # -- activation ---------------------------------------------------------
 
@@ -207,7 +183,7 @@ class Tracer:
         """Fold a worker's :meth:`export_remote` payload into this tracer.
 
         Spans attach under ``parent`` (default: the calling thread's
-        current span / anchor) and are clamped into its window when it
+        current span) and are clamped into its window when it
         closes; metrics merge (counters add, gauges keep the max).
         """
         if not payload:
@@ -281,9 +257,7 @@ class NullTracer:
 
     __slots__ = ()
 
-    def span(
-        self, name: str, category: str = "", anchor: bool = False, **tags: Any
-    ) -> _NullSpanContext:
+    def span(self, name: str, category: str = "", **tags: Any) -> _NullSpanContext:
         return _NULL_SPAN
 
     def current(self) -> None:
@@ -316,8 +290,7 @@ _ACTIVE_LOCAL = threading.local()
 def current_tracer() -> "Tracer | NullTracer":
     """The calling thread's active tracer (:data:`NULL_TRACER` by default).
 
-    A thread that activated a tracer (directly, or through the
-    executor's worker propagation) sees exactly that tracer; a thread
+    A thread that activated a tracer sees exactly that tracer; a thread
     with no activation of its own sees the most recent activation
     process-wide, or the null tracer when nothing is active.
     """

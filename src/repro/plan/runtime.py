@@ -124,26 +124,24 @@ def _planned_parallel(
     from repro.violations.detector import _reintern_constraint
 
     ex = as_executor(executor)
-    backend = ex.dispatch_backend
-    if backend == "serial" or len(work) <= 1:
+    if not ex.is_parallel or len(work) <= 1:
         return None
     tracer = current_tracer()
-    trace_remote = tracer.enabled and backend == "process"
     costs = [detection_cost(constraint) for constraint, _ in work]
-    chunks = balanced_chunks(costs, ex.instance_batches(len(costs), backend))
+    chunks = balanced_chunks(costs, ex.instance_batches(len(costs)))
     payloads = [
         (
             instance,
             [work[i] for i in chunk],
             max_violations,
-            trace_remote,
+            tracer.enabled,
         )
         for chunk in chunks
     ]
     results: "list[tuple[ViolationSet, ...] | None]" = [None] * len(work)
-    outcomes = ex.map(detect_planned_batch, payloads, backend)
+    outcomes = ex.map(detect_planned_batch, payloads)
     for chunk, outcome in zip(chunks, outcomes):
-        if trace_remote:
+        if tracer.enabled:
             batch, remote = outcome
             tracer.attach_remote(remote)
         else:

@@ -8,14 +8,14 @@ The detection and solving stages optionally fan out over the
 :mod:`repro.runtime` executor: detection parallelizes per constraint,
 solving per connected component of the MWSCP instance (see
 :mod:`repro.setcover.decompose`).  Both stages are shared-nothing, so
-every backend — serial, thread, process — produces the identical repair.
+every backend — serial, process, auto — produces the identical repair.
 
 With ``trace=True`` the run is recorded by the :mod:`repro.obs` layer:
 one ``repair`` root span with a stage span per Figure-1 box (``detect``,
 ``reduce``, ``solve``, ``apply``, ``verify``), per-constraint detection
 spans and per-solver spans nested inside — including spans recorded by
-thread- and process-pool workers, which the runtime merges back into the
-stage that dispatched them.  ``RepairResult.elapsed_seconds`` then
+process-pool workers, which the runtime merges back into the stage that
+dispatched them.  ``RepairResult.elapsed_seconds`` then
 becomes a thin view over the stage spans (same keys as the untraced
 dict, so no caller changes), and ``RepairResult.trace`` carries the full
 :class:`~repro.obs.spans.Trace`.  Tracing never alters the computation:
@@ -120,7 +120,7 @@ def repair_database(
         ``None``/``False`` (default) keeps the classic serial pipeline.
         ``True`` (``auto``) takes the decomposed path but runs every stage
         in-process; a backend name
-        (``serial``/``thread``/``process``) or an
+        (``serial``/``process``/``auto``) or an
         :class:`~repro.runtime.ExecutionPolicy` selects one explicitly.
         Any non-serial request also switches solving to the
         component-decomposed path, so the result is identical for every
@@ -244,7 +244,7 @@ def repair_database(
         started = time.perf_counter()
         detect_workers = 1
         detect_backend = "serial"
-        with tracer.span("detect", category="stage", anchor=True) as detect_span:
+        with tracer.span("detect", category="stage") as detect_span:
             if violations is None:
                 if executor.is_parallel and len(constraints) > 1:
                     detect_backend = executor.dispatch_backend
@@ -341,7 +341,7 @@ def repair_database(
         )
         solve_workers = 1
         solve_backend = "serial"
-        with tracer.span("solve", category="stage", anchor=True) as solve_span:
+        with tracer.span("solve", category="stage") as solve_span:
             if decomposed:
                 cover = solve_by_components(
                     problem.setcover,

@@ -25,7 +25,6 @@ Usage::
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -33,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.locality import check_local_set
-from repro.exceptions import RepairError, RuntimeConfigError
+from repro.exceptions import RepairError
 from repro.fixes.distance import CITY_DISTANCE, DistanceMetric, get_metric
 from repro.model.columnar import transfer_store
 from repro.model.instance import DatabaseInstance
@@ -72,7 +71,6 @@ class IncrementalRepairer:
         max_workers: int | None = None,
         engine: str = "auto",
         trace: "bool | Tracer" = False,
-        shards: int | None = None,
         plan: "CompiledProgram | None" = None,
     ) -> None:
         # One tracer observes the repairer's whole lifetime: every commit
@@ -110,27 +108,11 @@ class IncrementalRepairer:
         # (after name validation) rather than failing every commit.
         resolve_engine(engine)
         self._engine = "auto" if engine == "pushdown" else engine
-        # Anchored detection is dominated by hash lookups against the
-        # shared join-index cache, which a process pool cannot see - so
-        # ``parallel=True`` resolves to threads here, keeping the cache
-        # hot while still letting sqlite-bound or multi-constraint
-        # batches overlap.  The solve stage reuses the same policy.
-        if shards is not None and (
-            isinstance(shards, bool) or not isinstance(shards, int) or shards < 1
-        ):
-            raise RuntimeConfigError(
-                f"shards must be a positive integer or None, got {shards!r}"
-            )
-        self._shards = shards
-        policy = ExecutionPolicy.resolve(parallel, max_workers)
-        if policy.backend == "auto":
-            policy = replace(policy, backend="thread")
-        if shards is not None and shards > 1 and policy.backend == "serial":
-            # Sharded anchored detection dispatches through the executor;
-            # asking for shards without a backend means "threads", the
-            # backend that can actually share the warm join-index cache.
-            policy = replace(policy, backend="thread", max_workers=max_workers or shards)
-        self._policy = policy
+        # ``parallel`` means what it means in ``repair_database``: any
+        # non-serial request solves per connected component, and only an
+        # explicit ``process`` request dispatches to a pool.  In-process
+        # anchored detection keeps the shared join-index cache hot.
+        policy = self._policy = ExecutionPolicy.resolve(parallel, max_workers)
         self._executor = Executor(policy)
         # Resolved once, before any detection: a bad algorithm fails here
         # even when every commit would find nothing to repair.  A
@@ -157,9 +139,7 @@ class IncrementalRepairer:
             with ExitStack() as ctx:
                 ctx.enter_context(self._tracer.activate())
                 ctx.enter_context(
-                    self._tracer.span(
-                        "initial-repair", category="pipeline", anchor=True
-                    )
+                    self._tracer.span("initial-repair", category="pipeline")
                 )
                 problem = build_repair_problem(
                     self._instance, self._active_constraints, metric=self._metric,
@@ -246,12 +226,9 @@ class IncrementalRepairer:
                     category="pipeline",
                     round=self._rounds,
                     staged=len(self._staged),
-                    **({"shards": self._shards} if self._shards else {}),
                 )
             )
-            with self._tracer.span(
-                "detect", category="stage", anchor=True
-            ) as detect_span:
+            with self._tracer.span("detect", category="stage") as detect_span:
                 violations = find_violations_involving(
                     self._instance,
                     self._active_constraints,
@@ -259,7 +236,6 @@ class IncrementalRepairer:
                     raw_indexes=self._join_indexes,
                     executor=self._executor if self._policy.is_parallel else None,
                     engine=self._engine,
-                    shards=self._shards,
                 )
                 detect_span.tag(violations=len(violations))
             self._staged = []
@@ -289,9 +265,7 @@ class IncrementalRepairer:
                     violations=violations,
                 )
                 reduce_span.tag(sets=problem.setcover.n_sets)
-            with self._tracer.span(
-                "solve", category="stage", anchor=True
-            ) as solve_span:
+            with self._tracer.span("solve", category="stage") as solve_span:
                 cover = self._solve(problem.setcover)
                 solve_span.tag(weight=cover.weight, selected=len(cover.selected))
             with self._tracer.span("apply", category="stage") as apply_span:

@@ -114,8 +114,7 @@ class StreamingRepairer:
     operations (``None`` = only explicit :meth:`flush` / backpressure
     commits), ``backpressure`` picks the full-queue policy.  Remaining
     keyword arguments (``algorithm``, ``metric``, ``parallel``,
-    ``engine``, ``shards``, ``plan``, ...) pass
-    through to the inner :class:`IncrementalRepairer` - in particular a
+    ``engine``, ``plan``, ...) pass through to the inner :class:`IncrementalRepairer` - in particular a
     precompiled :class:`~repro.plan.program.CompiledProgram` is
     validated once and its static analysis reused by *every* commit
     round of the stream (a stale plan raises

@@ -3,7 +3,7 @@
 The pipeline's two hot stages fan out over independent work items —
 violation detection over constraints, set-cover solving over connected
 components — and this package provides the shared machinery: an
-:class:`Executor` with ``serial`` / ``thread`` / ``process`` backends,
+:class:`Executor` with ``serial`` / ``process`` / ``auto`` backends,
 :class:`ExecutionPolicy` for configuring it, LPT :func:`balanced_chunks`
 batching, and the picklable worker functions the process backend runs.
 

@@ -1,4 +1,4 @@
-"""Executor abstraction: serial, thread and process execution backends.
+"""Executor abstraction: serial and process execution backends.
 
 The repair pipeline has two embarrassingly-parallel stages — per-constraint
 violation detection and per-component set-cover solving — whose work items
@@ -7,10 +7,6 @@ connected components never share candidate fixes).  ``Executor`` gives both
 stages one shared dispatch mechanism:
 
 * **serial** — a plain loop, zero overhead, always available;
-* **thread** — ``ThreadPoolExecutor``; profitable when the work releases
-  the GIL (sqlite-backed detection, any future C-accelerated solver) and
-  free of serialization cost, so it is also the safe default for small
-  batches;
 * **process** — ``ProcessPoolExecutor``; true CPU parallelism for the
   pure-Python solver loops, at the cost of pickling the work description;
 * **auto** — the decomposed pipeline, run in-process
@@ -34,7 +30,7 @@ from __future__ import annotations
 import logging
 import os
 import pickle
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Sequence
@@ -62,7 +58,11 @@ logger = logging.getLogger(__name__)
 #: The pool won no size by more than noise: decomposition and the merge
 #: stay in the parent, and a tiny component costs about as much to ship
 #: as to solve.  So there is no work size for ``auto`` to switch at.
-BACKENDS = ("serial", "thread", "process", "auto")
+#:
+#: There is no thread backend: the detection kernels and solvers are
+#: pure Python, so CPython threads run them one at a time, and on 2 CPUs
+#: a thread pool never beat the in-process loop by more than noise.
+BACKENDS = ("serial", "process", "auto")
 
 #: Exceptions that indicate the *pool* (not the work) failed: unpicklable
 #: payloads, a worker that died, fork not being available.  Anything the
@@ -84,7 +84,7 @@ class ExecutionPolicy:
     Attributes
     ----------
     backend:
-        ``serial``, ``thread``, ``process``, or ``auto``.  Every backend
+        ``serial``, ``process``, or ``auto``.  Every backend
         but ``serial`` asks for the decomposed pipeline; ``auto`` runs it
         in-process (see :attr:`dispatch_backend`).
     max_workers:
@@ -129,8 +129,8 @@ class ExecutionPolicy:
     def dispatch_backend(self) -> str:
         """The backend the detect and solve stages fan out over.
 
-        An explicit ``thread`` or ``process`` request with more than one
-        worker; ``serial`` (in-process) for ``auto`` (see :data:`BACKENDS`)
+        An explicit ``process`` request with more than one worker;
+        ``serial`` (in-process) for ``auto`` (see :data:`BACKENDS`)
         and for anything that cannot reach a second worker.  Every stage
         and every report on it resolves through this one property.
         """
@@ -200,57 +200,30 @@ class Executor:
             return 1
         return max(1, min(n_items, self.workers * self.policy.chunks_per_worker))
 
-    def instance_batches(self, n_items: int, backend: str) -> int:
+    def instance_batches(self, n_items: int) -> int:
         """How many bins to split work into when every bin ships the instance.
 
-        One per worker on the ``process`` backend, where each batch
-        pickles the whole instance; :meth:`n_chunks` otherwise (threads
-        share the instance, so over-partitioning still guards against
-        stragglers).
+        One per worker when parallel (each batch pickles the whole
+        instance), else 1.
         """
-        if backend == "process":
-            return max(1, min(n_items, self.workers))
-        return self.n_chunks(n_items)
+        if not self.is_parallel:
+            return 1
+        return max(1, min(n_items, self.workers))
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Iterable[Any],
-        backend: str,
-    ) -> list[Any]:
+    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         """Apply ``fn`` to every item, returning results in input order.
 
-        ``backend`` is the stage's resolved choice (normally
-        :attr:`dispatch_backend`).  Exceptions from ``fn`` propagate.
-        Pool failures fall back to the serial loop (see module docstring)
-        when the policy allows it.
-
-        Thread-pool workers run under the *dispatching* thread's active
-        tracer: activation is thread-local (see :mod:`repro.obs.trace`),
-        so without explicit propagation a worker thread would fall back
-        to whichever tracer some concurrent run activated last - under
-        the :mod:`repro.service` job runtime that would interleave spans
-        across jobs.  Process workers keep the explicit
-        ``export_remote``/``attach_remote`` protocol instead.
+        Runs on the process pool when :attr:`dispatch_backend` is
+        ``process``, else as a plain loop.  Exceptions from ``fn``
+        propagate.  Pool failures fall back to the serial loop (see
+        module docstring) when the policy allows it.
         """
         items = list(items)
-        if backend == "serial" or self.workers <= 1 or len(items) <= 1:
+        if not self.is_parallel or len(items) <= 1:
             return [fn(item) for item in items]
-        if backend == "thread":
-            from repro.obs import current_tracer
-
-            tracer = current_tracer()
-            if tracer.enabled:
-                inner = fn
-
-                def fn(item, _inner=inner, _tracer=tracer):
-                    with _tracer.activate():
-                        return _inner(item)
-
-        pool_cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
         workers = min(self.workers, len(items))
         try:
-            with pool_cls(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(fn, items))
         except ReproError:
             raise
@@ -258,8 +231,7 @@ class Executor:
             if not self.policy.fallback:
                 raise
             logger.warning(
-                "runtime: %s pool failed (%s: %s); falling back to serial",
-                backend,
+                "runtime: process pool failed (%s: %s); falling back to serial",
                 type(error).__name__,
                 error,
             )

@@ -13,9 +13,9 @@ from this module:
   module-level functions — anything else trips the executor's serial
   fallback.
 * **detection** — a batch of constraints travels together with the
-  instance.  On the process backend detection makes at most one batch
-  per worker, so the instance is pickled once per worker, not once per
-  constraint or per chunk.
+  instance.  Detection makes at most one batch per worker, so the
+  instance is pickled once per worker, not once per constraint or per
+  chunk.
 
 Result shapes are plain tuples; the calling stage reassembles them into
 :class:`~repro.setcover.result.Cover` / ``ViolationSet`` values in the
@@ -27,9 +27,7 @@ optionally ends with a ``trace`` flag.  When set, the worker runs its
 batch under a fresh local :class:`~repro.obs.Tracer` and the result
 becomes ``(results, remote)`` where ``remote`` is the picklable
 :meth:`~repro.obs.Tracer.export_remote` payload; the dispatching stage
-folds it back with :meth:`~repro.obs.Tracer.attach_remote`.  The flag is
-only sent for the process backend — thread workers already see the
-parent's active tracer.
+folds it back with :meth:`~repro.obs.Tracer.attach_remote`.
 """
 
 from __future__ import annotations
@@ -188,44 +186,23 @@ def detect_planned_batch(payload: tuple) -> "list[tuple] | tuple[list[tuple], di
 def detect_anchored_batch(payload: tuple) -> "list[tuple] | tuple[list[tuple], dict]":
     """Anchored (incremental) detection for one batch of constraints.
 
-    ``payload`` is ``(instance, constraints, anchors, raw_indexes, engine)``
-    plus an optional trailing ``trace`` flag; returns one tuple of
+    ``payload`` is ``(instance, constraints, anchors, engine)`` plus an
+    optional trailing ``trace`` flag; returns one tuple of
     ``ViolationSet`` per constraint, in batch order — wrapped as
-    ``(results, remote_trace)`` when tracing.
+    ``(results, remote_trace)`` when tracing.  Workers build throwaway
+    join indexes: the parent's persistent cache is not shipped.
     """
-    instance, constraints, anchors, raw_indexes, engine, trace = (*payload, False)[:6]
+    instance, constraints, anchors, engine, trace = (*payload, False)[:5]
     from repro.violations.detector import violations_involving_constraint
 
     with _WorkerTrace(trace) as wt:
         results = [
-            violations_involving_constraint(
-                instance, constraint, anchors, raw_indexes, engine
-            )
+            violations_involving_constraint(instance, constraint, anchors, None, engine)
             for constraint in constraints
         ]
     if trace:
         return results, wt.remote()
     return results
-
-
-def detect_anchored_shard_batch(payload: tuple) -> list:
-    """Raw anchored witness sets for one batch of (constraint, shard) units.
-
-    ``payload`` is ``(instance, pairs, raw_indexes)`` where each pair is
-    ``(constraint, anchor_chunk)``; the result is one
-    ``set[frozenset[Tuple]]`` per pair, in batch order.  Unlike the
-    ``ViolationSet``-shaped batches above, shard results are *pre-funnel*:
-    the dispatcher unions them per constraint before minimality reduction,
-    which is what keeps sharded detection byte-identical to serial (see
-    :func:`repro.violations.detector.anchored_used_sets`).
-    """
-    instance, pairs, raw_indexes = payload
-    from repro.violations.detector import anchored_used_sets
-
-    return [
-        anchored_used_sets(instance, constraint, anchors, raw_indexes)
-        for constraint, anchors in pairs
-    ]
 
 
 def detection_cost(constraint: Any) -> float:

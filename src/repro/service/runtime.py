@@ -5,7 +5,7 @@ repair jobs, admits them through a bounded
 :class:`~repro.service.queue.JobQueue`, and executes each on a *bridge*
 thread pool calling straight into :func:`repro.repair.engine.repair_database`
 - so each job can itself fan out through the :mod:`repro.runtime`
-thread/process executors via its ``parallel`` parameter.  The service
+process executor via its ``parallel`` parameter.  The service
 adds what one-shot calls lack:
 
 * **admission control** - ``max_pending`` + the streaming layer's

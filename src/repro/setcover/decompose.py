@@ -161,15 +161,12 @@ def _solve_components_parallel(
     )
 
     ex = as_executor(executor)
-    backend = ex.dispatch_backend
-    if backend == "serial" or len(components) <= 1:
+    if not ex.is_parallel or len(components) <= 1:
         return None
-    # Thread workers record into the active tracer directly (under the
-    # solve anchor); process workers export a remote payload instead.
+    # Process workers export a remote trace payload, merged on return.
     from repro.obs import current_tracer
 
     tracer = current_tracer()
-    trace_remote = tracer.enabled and backend == "process"
     tokens = [solver_token(use) for use in chosen]
     costs = [
         float(c.instance.n_elements + c.instance.n_sets) for c in components
@@ -179,14 +176,14 @@ def _solve_components_parallel(
         (
             [component_spec(components[i].instance) for i in chunk],
             [tokens[i] for i in chunk],
-            trace_remote,
+            tracer.enabled,
         )
         for chunk in chunks
     ]
     results: list[tuple | None] = [None] * len(components)
-    outcomes = ex.map(solve_component_batch, payloads, backend)
+    outcomes = ex.map(solve_component_batch, payloads)
     for chunk, outcome in zip(chunks, outcomes):
-        if trace_remote:
+        if tracer.enabled:
             batch, remote = outcome
             tracer.attach_remote(remote)
         else:

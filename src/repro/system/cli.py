@@ -51,6 +51,7 @@ import sys
 from typing import Callable, Sequence
 
 from repro.exceptions import ReproError
+from repro.runtime.executor import BACKENDS
 from repro.system.config import RepairConfig
 from repro.system.pipeline import RepairProgram
 
@@ -81,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--parallel",
-        choices=["serial", "thread", "process", "auto"],
+        choices=BACKENDS,
         help="override the configured runtime backend: fan violation "
         "detection out per constraint and set-cover solving per connected "
         "component (results are identical on every backend); 'auto' "
-        "decomposes like the pools but runs every stage in-process, since "
+        "decomposes like the pool but runs every stage in-process, since "
         "no measured input size made the process pool pay",
     )
     parser.add_argument(

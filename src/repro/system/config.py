@@ -34,14 +34,14 @@ into text file)."*  We use JSON::
 (with ``directory``), or ``memory`` (with inline ``rows``);
 ``export.mode`` is ``update`` / ``insert`` / ``dump`` (the latter with
 ``destination``).  The optional ``runtime`` block picks the
-parallel-execution backend (``serial`` / ``thread`` / ``process`` /
-``auto``; ``auto`` decomposes like the pools but runs every stage
-in-process, see :data:`~repro.runtime.executor.BACKENDS`) and
-worker count for the detection and solving stages, plus the
-violation-detection ``engine`` (``auto`` / ``kernel`` / ``interpreted`` /
-``pushdown``, see :mod:`repro.violations.kernels`); it defaults to the
-serial pipeline with the ``auto`` engine, which resolves to ``pushdown``
-for instances loaded from a SQL source backend.  Unknown keys in the
+parallel-execution backend (``serial`` / ``process`` / ``auto``;
+``auto`` decomposes like the pool but runs every stage in-process, see
+:data:`~repro.runtime.executor.BACKENDS`) and worker count for the
+detection and solving stages, plus the violation-detection ``engine``
+(``auto`` / ``kernel`` / ``interpreted`` / ``pushdown``, see
+:mod:`repro.violations.kernels`); it defaults to the serial pipeline
+with the ``auto`` engine, which resolves to ``pushdown`` for instances
+loaded from a SQL source backend.  Unknown keys in the
 ``runtime``, ``runtime.streaming``, ``lint``, ``plan`` and ``service``
 blocks are rejected with a :class:`~repro.exceptions.ConfigError` naming
 the valid ones.
@@ -56,7 +56,7 @@ trace and attaches it to its report.
 ``runtime.streaming`` switches the pipeline into sustained streaming
 repair (:class:`repro.repair.streaming.StreamingRepairer`): either a
 boolean, or an object ``{"enabled": true, "max_pending": 1024,
-"commit_interval": 256, "backpressure": "block", "shards": 4}``.  Rows
+"commit_interval": 256, "backpressure": "block"}``.  Rows
 from the source are streamed through a bounded, coalescing commit queue
 instead of being repaired in one batch; requires the ``update`` repair
 semantics.
@@ -137,7 +137,6 @@ class RepairConfig:
     streaming_max_pending: int | None = 1024
     streaming_commit_interval: int | None = 256
     streaming_backpressure: str = "block"
-    streaming_shards: int | None = None
     lint_preflight: bool = False
     lint_fail_on: str = "error"
     plan_enabled: bool = False
@@ -343,7 +342,6 @@ class RepairConfig:
             streaming_max_pending=streaming[1],
             streaming_commit_interval=streaming[2],
             streaming_backpressure=streaming[3],
-            streaming_shards=streaming[4],
             lint_preflight=lint_preflight,
             lint_fail_on=lint_fail_on,
             plan_enabled=plan[0],
@@ -537,20 +535,17 @@ def _parse_trace(data: Any) -> tuple[bool, str | None, str]:
     return enabled, out, format
 
 
-def _parse_streaming(
-    data: Any,
-) -> tuple[bool, int | None, int | None, str, int | None]:
+def _parse_streaming(data: Any) -> tuple[bool, int | None, int | None, str]:
     """Validate the ``runtime.streaming`` block (bool or object form).
 
-    Returns ``(enabled, max_pending, commit_interval, backpressure,
-    shards)``; the object form accepts e.g. ``{"enabled": true,
-    "max_pending": 512, "commit_interval": 64, "backpressure": "error",
-    "shards": 4}``.
+    Returns ``(enabled, max_pending, commit_interval, backpressure)``;
+    the object form accepts e.g. ``{"enabled": true, "max_pending": 512,
+    "commit_interval": 64, "backpressure": "error"}``.
     """
     from repro.repair.streaming import BACKPRESSURE_POLICIES
 
     if isinstance(data, bool):
-        return data, 1024, 256, "block", None
+        return data, 1024, 256, "block"
     if not isinstance(data, Mapping):
         raise ConfigError(
             f"runtime.streaming must be a boolean or an object, got {data!r}"
@@ -558,7 +553,7 @@ def _parse_streaming(
     _reject_unknown(
         "runtime.streaming",
         data,
-        {"enabled", "max_pending", "commit_interval", "backpressure", "shards"},
+        {"enabled", "max_pending", "commit_interval", "backpressure"},
     )
     enabled = data.get("enabled", True)
     if not isinstance(enabled, bool):
@@ -577,14 +572,13 @@ def _parse_streaming(
         return value
     max_pending = positive_or_none("max_pending", 1024)
     commit_interval = positive_or_none("commit_interval", 256)
-    shards = positive_or_none("shards", None)
     backpressure = data.get("backpressure", "block")
     if backpressure not in BACKPRESSURE_POLICIES:
         raise ConfigError(
             f"runtime.streaming.backpressure must be one of "
             f"{BACKPRESSURE_POLICIES}, got {backpressure!r}"
         )
-    return enabled, max_pending, commit_interval, backpressure, shards
+    return enabled, max_pending, commit_interval, backpressure
 
 
 def _parse_schema(data: Any) -> Schema:

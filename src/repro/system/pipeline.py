@@ -224,7 +224,6 @@ class RepairProgram:
             metric=self.config.metric,
             parallel=policy if policy.backend != "serial" else None,
             engine=self.config.detection_engine,
-            shards=self.config.streaming_shards,
             plan=plan,
         )
         for relation in self.config.schema:

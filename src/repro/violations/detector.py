@@ -432,8 +432,7 @@ def find_violations(
 
     Under an active tracer each call records a ``detect:<label>`` span
     tagged with the engine and the violation count, and bumps the
-    ``violations_found{constraint=<label>}`` counter - on pool threads
-    the span lands under the engine's ``detect`` stage anchor, in process
+    ``violations_found{constraint=<label>}`` counter - in process
     workers it is exported and merged by the runtime.
     """
     tracer = current_tracer()
@@ -503,10 +502,10 @@ def find_all_violations(
     ``executor`` (anything :func:`repro.runtime.as_executor` accepts) fans
     detection out with one work item per constraint — constraints never
     share violation sets, so the fan-out is shared-nothing.  Constraints
-    are batched by estimated join cost (on the process backend into at
-    most one batch per worker, so the instance is pickled once per
-    worker), and results are concatenated in constraint order: the output
-    is identical to the serial loop.  ``auto`` keeps detection in-process
+    are batched by estimated join cost into at most one batch per worker
+    (so the instance is pickled once per worker), and results are
+    concatenated in constraint order: the output is identical to the
+    serial loop.  ``auto`` keeps detection in-process
     (see :attr:`~repro.runtime.ExecutionPolicy.dispatch_backend`).  The
     ``max_violations`` safety valve keeps working; a tripped valve in any
     worker raises :class:`~repro.exceptions.ConstraintError` here.
@@ -551,30 +550,27 @@ def _detect_parallel(
     from repro.runtime.workers import detect_constraint_batch, detection_cost
 
     ex = as_executor(executor)
-    backend = ex.dispatch_backend
-    if backend == "serial" or len(constraints) <= 1:
+    if not ex.is_parallel or len(constraints) <= 1:
         return None
-    # Thread workers see the active tracer directly (spans land under the
-    # detect anchor); process workers cannot, so ship a trace flag and
-    # merge the exported spans/metrics on the way back.
+    # Process workers cannot see the active tracer, so ship a trace flag
+    # and merge the exported spans/metrics on the way back.
     tracer = current_tracer()
-    trace_remote = tracer.enabled and backend == "process"
     costs = [detection_cost(constraint) for constraint in constraints]
-    chunks = balanced_chunks(costs, ex.instance_batches(len(costs), backend))
+    chunks = balanced_chunks(costs, ex.instance_batches(len(costs)))
     payloads = [
         (
             instance,
             [constraints[i] for i in chunk],
             max_violations,
             engine,
-            trace_remote,
+            tracer.enabled,
         )
         for chunk in chunks
     ]
     results: list[tuple[ViolationSet, ...] | None] = [None] * len(constraints)
-    outcomes = ex.map(detect_constraint_batch, payloads, backend)
+    outcomes = ex.map(detect_constraint_batch, payloads)
     for chunk, outcome in zip(chunks, outcomes):
-        if trace_remote:
+        if tracer.enabled:
             batch, remote = outcome
             tracer.attach_remote(remote)
         else:
@@ -707,11 +703,7 @@ def anchored_used_sets(
     The interpreted anchored enumeration *without* the
     :func:`_ordered_violation_sets` funnel: the anchored atom is rotated
     to the front, one pass per atom position, and every satisfying
-    assignment's used tuple set is collected.  Exposed so sharded
-    detection can split ``anchors`` across workers and union the per-shard
-    witness sets *before* minimality reduction - the union over any
-    partition of the anchors equals the unsharded witness set, which is
-    what keeps sharded results byte-identical.
+    assignment's used tuple set is collected.
     """
     used_sets: set[frozenset[Tuple]] = set()
     for atom_index in range(len(constraint.relation_atoms)):
@@ -741,7 +733,6 @@ def find_violations_involving(
     raw_indexes: Mapping | None = None,
     executor=None,
     engine: str = "auto",
-    shards: int | None = None,
 ) -> tuple[ViolationSet, ...]:
     """Violation sets that involve at least one of the ``anchors``.
 
@@ -756,40 +747,22 @@ def find_violations_involving(
 
     ``executor`` fans the per-constraint anchored joins out exactly like
     :func:`find_all_violations`; output order (constraint order, then the
-    deterministic within-constraint order) is preserved.  The process
-    backend drops ``raw_indexes`` from the shipped payload — pickling a
-    whole join-index cache would cost more than rebuilding the throwaway
-    indexes — so hand it threads (or run serial) when the cache is the
-    point.
+    deterministic within-constraint order) is preserved.  Process workers
+    never see ``raw_indexes`` — pickling a whole join-index cache would
+    cost more than rebuilding the throwaway indexes — so run serial when
+    the cache is the point.
 
     Minimality is computed within the returned candidates, which is exact
     under the stated precondition (the instance minus the anchors is
     consistent); with an inconsistent base instance the result still lists
     violating sets but may include sets whose minimal core avoids the
     anchors.
-
-    ``shards`` additionally splits each constraint's *anchors* into that
-    many contiguous chunks, turning the fan-out unit from "one
-    constraint" into "one (constraint, anchor shard)" - the knob that
-    lets a commit round with few constraints but a large Δ keep every
-    worker busy.  The per-shard witness sets are unioned before the
-    minimality/ordering funnel, so the output is byte-identical to the
-    unsharded path (the union over any partition of the anchors is the
-    full witness set).  Sharding applies to the interpreted anchored
-    enumeration; an explicit ``engine="kernel"`` request falls back to
-    the per-constraint fan-out.
     """
     anchor_list = list(anchors)
     constraints = tuple(constraints)
-    per_constraint = None
-    if shards is not None and shards > 1 and engine != "kernel":
-        per_constraint = _detect_anchored_sharded(
-            instance, constraints, anchor_list, raw_indexes, executor, shards
-        )
-    if per_constraint is None:
-        per_constraint = _detect_anchored_parallel(
-            instance, constraints, anchor_list, raw_indexes, executor, engine
-        )
+    per_constraint = _detect_anchored_parallel(
+        instance, constraints, anchor_list, executor, engine
+    )
     if per_constraint is None:
         per_constraint = [
             violations_involving_constraint(
@@ -807,7 +780,6 @@ def _detect_anchored_parallel(
     instance: DatabaseInstance,
     constraints: tuple[DenialConstraint, ...],
     anchors: list[Tuple],
-    raw_indexes: Mapping | None,
     executor,
     engine: str = "auto",
 ) -> list[tuple[ViolationSet, ...]] | None:
@@ -818,29 +790,25 @@ def _detect_anchored_parallel(
     from repro.runtime.workers import detect_anchored_batch, detection_cost
 
     ex = as_executor(executor)
-    backend = ex.dispatch_backend
-    if backend == "serial" or len(constraints) <= 1:
+    if not ex.is_parallel or len(constraints) <= 1:
         return None
     tracer = current_tracer()
-    trace_remote = tracer.enabled and backend == "process"
-    shipped_indexes = raw_indexes if backend == "thread" else None
     costs = [detection_cost(constraint) for constraint in constraints]
-    chunks = balanced_chunks(costs, ex.instance_batches(len(costs), backend))
+    chunks = balanced_chunks(costs, ex.instance_batches(len(costs)))
     payloads = [
         (
             instance,
             [constraints[i] for i in chunk],
             anchors,
-            shipped_indexes,
             engine,
-            trace_remote,
+            tracer.enabled,
         )
         for chunk in chunks
     ]
     results: list[tuple[ViolationSet, ...] | None] = [None] * len(constraints)
-    outcomes = ex.map(detect_anchored_batch, payloads, backend)
+    outcomes = ex.map(detect_anchored_batch, payloads)
     for chunk, outcome in zip(chunks, outcomes):
-        if trace_remote:
+        if tracer.enabled:
             batch, remote = outcome
             tracer.attach_remote(remote)
         else:
@@ -848,92 +816,6 @@ def _detect_anchored_parallel(
         for index, violations in zip(chunk, batch):
             results[index] = _reintern_constraint(violations, constraints[index])
     return results  # type: ignore[return-value]
-
-
-def _detect_anchored_sharded(
-    instance: DatabaseInstance,
-    constraints: tuple[DenialConstraint, ...],
-    anchors: list[Tuple],
-    raw_indexes: Mapping | None,
-    executor,
-    shards: int,
-) -> list[tuple[ViolationSet, ...]] | None:
-    """(constraint x anchor-shard) fan-out; ``None`` = stay serial.
-
-    Anchors are split into ``shards`` contiguous chunks; every
-    ``(constraint, chunk)`` pair becomes one work unit, LPT-balanced by
-    estimated join cost.  Workers return *raw* witness sets
-    (:func:`anchored_used_sets`); the union per constraint then runs
-    through :func:`_ordered_violation_sets` here, so minimality and
-    ordering are computed over exactly the same witness population as the
-    serial path.  Thread workers share ``raw_indexes`` and the live
-    instance; process workers receive pickled copies and rebuild
-    throwaway indexes (ship the cache to threads when it is the point).
-    """
-    if executor is None or not anchors:
-        return None
-    from repro.runtime.executor import as_executor, balanced_chunks
-    from repro.runtime.workers import detect_anchored_shard_batch, detection_cost
-
-    ex = as_executor(executor)
-    backend = ex.dispatch_backend
-    if backend == "serial":
-        return None
-    n_shards = min(shards, len(anchors))
-    if n_shards <= 1 and len(constraints) <= 1:
-        return None
-    step = -(-len(anchors) // n_shards)  # ceil division, contiguous chunks
-    anchor_chunks = [
-        anchors[start:start + step] for start in range(0, len(anchors), step)
-    ]
-    units = [
-        (c_index, s_index)
-        for c_index in range(len(constraints))
-        for s_index in range(len(anchor_chunks))
-    ]
-    if len(units) <= 1:
-        return None
-    costs = [
-        detection_cost(constraints[c_index]) * len(anchor_chunks[s_index])
-        for c_index, s_index in units
-    ]
-    unit_chunks = balanced_chunks(costs, ex.instance_batches(len(costs), backend))
-    shipped_indexes = raw_indexes if backend == "thread" else None
-    payloads = [
-        (
-            instance,
-            [
-                (constraints[units[u][0]], anchor_chunks[units[u][1]])
-                for u in chunk
-            ],
-            shipped_indexes,
-        )
-        for chunk in unit_chunks
-    ]
-    merged: list[set[frozenset[Tuple]]] = [set() for _ in constraints]
-    outcomes = ex.map(detect_anchored_shard_batch, payloads, backend)
-    for chunk, batch in zip(unit_chunks, outcomes):
-        for u, used_sets in zip(chunk, batch):
-            merged[units[u][0]].update(used_sets)
-    tracer = current_tracer()
-    results: list[tuple[ViolationSet, ...]] = []
-    for constraint, used_sets in zip(constraints, merged):
-        if tracer.enabled:
-            with tracer.span(
-                f"detect:{constraint.label}",
-                category="detect",
-                anchors=len(anchors),
-                shards=len(anchor_chunks),
-            ) as span:
-                violations = _ordered_violation_sets(used_sets, constraint)
-                span.tag(violations=len(violations))
-                tracer.metrics.counter(
-                    "violations_found", constraint=constraint.label
-                ).inc(len(violations))
-        else:
-            violations = _ordered_violation_sets(used_sets, constraint)
-        results.append(violations)
-    return results
 
 
 def is_consistent(

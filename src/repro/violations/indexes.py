@@ -25,8 +25,8 @@ from repro.model.tuples import Tuple
 class JoinIndexCache:
     """Lazily-built, incrementally-maintained hash indexes per join signature.
 
-    Lazy builds are guarded by a lock so concurrent anchor-shard workers
-    (thread backend) can share one warm cache: the first thread to miss a
+    Lazy builds are guarded by a lock so concurrent readers can share
+    one warm cache: the first thread to miss a
     signature builds it, later threads reuse the finished index, and a
     half-built index is never observable.  Maintenance (``notify_*``)
     stays single-threaded by contract - it runs between commit rounds,

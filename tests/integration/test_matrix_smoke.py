@@ -16,7 +16,7 @@ from repro.violations.kernels import kernel_available
 from repro.workloads.clientbuy import client_buy_workload
 
 ENGINES = ("auto", "interpreted") + (("kernel",) if kernel_available() else ())
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "auto", "process")
 MODES = ("batch", "incremental", "streaming")
 
 

@@ -60,7 +60,7 @@ class TestThreadLocalActivation:
 
     def test_anonymous_thread_inherits_the_fallback(self):
         """A thread with no activation of its own reads the most recent
-        activation - how executor worker threads join a traced run."""
+        activation - how ad-hoc helper threads join a traced run."""
         seen = {}
         ready = threading.Event()
         release = threading.Event()

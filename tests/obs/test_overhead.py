@@ -57,7 +57,7 @@ class TestZeroSpans:
         repair_database(
             small_clientbuy.instance,
             small_clientbuy.constraints,
-            parallel=ExecutionPolicy(backend="thread", max_workers=2),
+            parallel=ExecutionPolicy(backend="process", max_workers=2),
         )
         assert span_counter["spans"] == 0
 

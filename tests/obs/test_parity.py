@@ -69,10 +69,10 @@ def test_parity_on_paper_example(paper_pub, algorithm):
     assert dict(traced.solver_stats) == dict(untraced.solver_stats)
 
 
-def test_parity_under_thread_runtime(small_clientbuy):
+def test_parity_under_process_runtime(small_clientbuy):
     from repro.runtime import ExecutionPolicy
 
-    policy = ExecutionPolicy(backend="thread", max_workers=2)
+    policy = ExecutionPolicy(backend="process", max_workers=2)
     untraced = repair_database(
         small_clientbuy.instance,
         small_clientbuy.constraints,

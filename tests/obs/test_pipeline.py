@@ -89,7 +89,7 @@ class TestEngineTrace:
     def test_caller_supplied_tracer_stays_open(self, paper_pub):
         tracer = Tracer("caller")
         with tracer.activate():
-            with tracer.span("session", anchor=True):
+            with tracer.span("session"):
                 first = repair_database(
                     paper_pub.instance, paper_pub.constraints, trace=tracer
                 )
@@ -103,7 +103,7 @@ class TestEngineTrace:
 
 
 class TestRuntimeTrace:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process", "auto"])
     def test_parallel_backends_fill_the_same_tree(self, small_clientbuy, backend):
         result = repair_database(
             small_clientbuy.instance,

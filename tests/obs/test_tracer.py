@@ -70,24 +70,6 @@ class TestActivation:
             assert current_tracer() is tracer
         assert current_tracer() is NULL_TRACER
 
-    def test_thread_spans_attach_under_anchor(self):
-        """Pool threads with empty stacks attach to the open anchor span."""
-        tracer = Tracer()
-
-        def worker():
-            with tracer.activate():
-                with current_tracer().span("detect:ic1"):
-                    pass
-
-        with tracer.activate():
-            with tracer.span("detect", category="stage", anchor=True):
-                thread = threading.Thread(target=worker)
-                thread.start()
-                thread.join()
-        trace = tracer.finish()
-        stage = trace.find("detect")
-        assert [c.name for c in stage.children] == ["detect:ic1"]
-
     def test_foreign_thread_without_anchor_becomes_root(self):
         tracer = Tracer()
 
@@ -95,7 +77,7 @@ class TestActivation:
             with tracer.span("orphan"):
                 pass
 
-        with tracer.span("main", anchor=False):
+        with tracer.span("main"):
             thread = threading.Thread(target=worker)
             thread.start()
             thread.join()
@@ -161,7 +143,7 @@ class TestRemoteFanIn:
 
 class TestNullTracer:
     def test_span_allocates_nothing(self):
-        a = NULL_TRACER.span("x", category="stage", anchor=True, tag=1)
+        a = NULL_TRACER.span("x", category="stage", tag=1)
         b = NULL_TRACER.span("y")
         assert a is b is _NULL_SPAN
 

@@ -96,7 +96,7 @@ class TestPlannedFindViolations:
 
 
 class TestPlannedParallel:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process", "auto"])
     def test_parallel_matches_serial(self, workload, backend):
         program = compile_program(workload.schema, workload.constraints)
         serial = planned_find_all_violations(

@@ -214,7 +214,7 @@ class TestSolverResolution:
         assert is_consistent(repaired, paper.constraints)
         return repaired, paper.constraints
 
-    @pytest.mark.parametrize("parallel", [None, "thread"])
+    @pytest.mark.parametrize("parallel", [None, "auto"])
     @pytest.mark.parametrize("algorithm", BAD_ALGORITHMS)
     def test_bad_algorithm_fails_on_consistent_input(
         self, consistent, algorithm, parallel
@@ -227,7 +227,7 @@ class TestSolverResolution:
                 instance, constraints, algorithm=algorithm, parallel=parallel
             )
 
-    @pytest.mark.parametrize("parallel", [None, "thread"])
+    @pytest.mark.parametrize("parallel", [None, "auto"])
     @pytest.mark.parametrize("algorithm", BAD_ALGORITHMS)
     def test_incremental_constructor_rejects_bad_algorithm(
         self, consistent, algorithm, parallel
@@ -240,7 +240,7 @@ class TestSolverResolution:
                 instance, constraints, algorithm=algorithm, parallel=parallel
             )
 
-    @pytest.mark.parametrize("parallel", [None, "thread"])
+    @pytest.mark.parametrize("parallel", [None, "auto"])
     def test_problem_cover_rejects_bad_algorithm(self, paper, parallel):
         from repro import SetCoverError
         from repro.repair.builder import build_repair_problem
@@ -265,7 +265,7 @@ class TestDecomposedSolverStats:
             workload.instance,
             workload.constraints,
             algorithm=algorithm,
-            parallel="thread",
+            parallel="auto",
             max_workers=2,
         )
         assert decomposed.solver_stats["components"] > 1

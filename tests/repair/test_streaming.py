@@ -269,36 +269,6 @@ class TestRounds:
         assert [child.name for child in round_span.children] == ["commit"]
 
 
-class TestShardedParity:
-    def test_sharded_rounds_match_serial(self, make_clientbuy):
-        """Sharded Δ-anchored detection commits byte-identical repairs."""
-        workload = make_clientbuy(40, inconsistency_ratio=0.0, seed=3)
-
-        def run(shards):
-            streamer = StreamingRepairer(
-                workload.instance,
-                workload.constraints,
-                commit_interval=4,
-                shards=shards,
-            )
-            for client in range(10):
-                streamer.update("Client", (client,), a=15, c=60 + client)
-                streamer.insert("Buy", (client, 90, 99))
-            streamer.flush()
-            return streamer
-
-        serial = run(None)
-        sharded = run(4)
-        assert sharded.instance == serial.instance
-        assert sharded.stats.cells_changed == serial.stats.cells_changed
-        assert is_consistent(sharded.instance, workload.constraints)
-
-    def test_bad_shards_rejected(self):
-        instance, constraints = one_relation_setup([(1, 10)])
-        with pytest.raises(RuntimeConfigError):
-            StreamingRepairer(instance, constraints, shards=0)
-
-
 # -- fuzzed parity: streamed == cold batch, across engines --------------------
 
 _OPS = st.lists(

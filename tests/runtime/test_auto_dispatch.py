@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import repair_database
+from repro import DatabaseInstance, IncrementalRepairer, repair_database
 from repro.plan import compile_program, planned_find_all_violations
 from repro.runtime import ExecutionPolicy, Executor, as_executor
 from repro.runtime import executor as executor_module
@@ -35,9 +35,9 @@ def map_log(monkeypatch):
     call, running the payloads in-process."""
     calls = []
 
-    def counting_map(self, fn, items, backend):
+    def counting_map(self, fn, items):
         items = list(items)
-        calls.append((fn.__name__, backend, len(items)))
+        calls.append((fn.__name__, self.dispatch_backend, len(items)))
         return [fn(item) for item in items]
 
     monkeypatch.setattr(Executor, "map", counting_map)
@@ -160,19 +160,6 @@ class TestExplicitProcessDetectionBatches:
         assert got == find_violations_involving(instance, constraints, anchors)
         assert map_log == [("detect_anchored_batch", "process", 2)]
 
-    def test_sharded_find_violations_involving(self, census_small, map_log):
-        instance, constraints = census_small.instance, census_small.constraints
-        anchors = list(instance.tuples("Person")[:10])
-        got = find_violations_involving(
-            instance,
-            constraints,
-            anchors,
-            executor=as_executor("process", 2),
-            shards=4,
-        )
-        assert got == find_violations_involving(instance, constraints, anchors)
-        assert map_log == [("detect_anchored_shard_batch", "process", 2)]
-
     def test_planned_find_all_violations(self, census_small, map_log):
         instance, constraints = census_small.instance, census_small.constraints
         program = compile_program(census_small.schema, constraints)
@@ -182,10 +169,50 @@ class TestExplicitProcessDetectionBatches:
         assert got == planned_find_all_violations(instance, constraints, program)
         assert map_log == [("detect_planned_batch", "process", 2)]
 
-    def test_threads_keep_over_partitioning(self, census_small, map_log):
-        instance, constraints = census_small.instance, census_small.constraints
-        got = find_all_violations(
-            instance, constraints, executor=as_executor("thread", 2)
+
+def _incremental_commits(workload, parallel):
+    """Replay ``workload`` into an empty repairer, 150 inserts per commit."""
+    repairer = IncrementalRepairer(
+        DatabaseInstance(workload.schema),
+        workload.constraints,
+        algorithm="layer",
+        parallel=parallel,
+        max_workers=2,
+    )
+    rows = [
+        (name, tup.values)
+        for name in workload.schema.relation_names
+        for tup in workload.instance.tuples(name)
+    ]
+    results = []
+    for start in range(0, len(rows), 150):
+        for name, values in rows[start:start + 150]:
+            repairer.insert(name, values)
+        results.append(repairer.commit())
+    return results
+
+
+class TestIncrementalParallelTrue:
+    """``IncrementalRepairer(parallel=True)`` decomposes, in-process."""
+
+    def test_never_starts_a_pool(self, census_small, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parallel=True started a process pool")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", refuse)
+        results = _incremental_commits(census_small, True)
+        repaired = [r for r in results if r.changes]
+        assert repaired
+        assert all(r.solver_stats["components"] > 1 for r in repaired)
+
+    def test_commits_match_process_and_serial_decomposed(self, census_small):
+        auto = _incremental_commits(census_small, True)
+        process = _incremental_commits(census_small, "process")
+        serial_decomposed = _incremental_commits(
+            census_small, ExecutionPolicy("process", max_workers=1)
         )
-        assert got == find_all_violations(instance, constraints)
-        assert map_log == [("detect_constraint_batch", "thread", 3)]
+        assert len(auto) == len(process) == len(serial_decomposed) > 1
+        for a, p, s in zip(auto, process, serial_decomposed):
+            for other in (p, s):
+                assert_same_repair(a, other)
+                assert repr(a.distance) == repr(other.distance)

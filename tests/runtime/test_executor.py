@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import IncrementalRepairer, StreamingRepairer, repair_database
 from repro.exceptions import ConstraintError, RuntimeConfigError
 from repro.runtime import (
     BACKENDS,
@@ -12,6 +13,7 @@ from repro.runtime import (
     as_executor,
     balanced_chunks,
 )
+from repro.workloads import census_workload
 
 
 def _square(x):
@@ -52,26 +54,32 @@ class TestExecutionPolicy:
         assert policy.dispatch_backend == "serial"
         assert not policy.is_parallel
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_explicit_backends_are_honoured(self, backend):
+    @pytest.mark.parametrize(
+        "backend, dispatch",
+        [("serial", "serial"), ("process", "process"), ("auto", "serial")],
+        ids=["serial", "process", "auto"],
+    )
+    def test_explicit_backends_are_honoured(self, backend, dispatch):
         policy = ExecutionPolicy(backend=backend, max_workers=2)
-        assert policy.dispatch_backend == backend
-        assert policy.is_parallel == (backend != "serial")
+        assert policy.backend == backend
+        assert policy.dispatch_backend == dispatch
+        assert policy.is_parallel == (dispatch != "serial")
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "auto"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "auto"])
     def test_one_worker_runs_in_process(self, backend):
         policy = ExecutionPolicy(backend=backend, max_workers=1)
         assert policy.dispatch_backend == "serial"
+        assert not policy.is_parallel
 
     def test_resolve_backend_names(self):
         for backend in BACKENDS:
             assert ExecutionPolicy.resolve(backend).backend == backend
 
     def test_resolve_passes_policies_through(self):
-        policy = ExecutionPolicy(backend="thread", max_workers=2)
+        policy = ExecutionPolicy(backend="process", max_workers=2)
         assert ExecutionPolicy.resolve(policy) is policy
         overridden = ExecutionPolicy.resolve(policy, max_workers=8)
-        assert overridden.backend == "thread"
+        assert overridden.backend == "process"
         assert overridden.max_workers == 8
 
     def test_resolve_rejects_garbage(self):
@@ -79,45 +87,77 @@ class TestExecutionPolicy:
             ExecutionPolicy.resolve(3.14)
 
 
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda w, backend: ExecutionPolicy(backend=backend),
+        lambda w, backend: ExecutionPolicy.resolve(backend),
+        lambda w, backend: as_executor(backend),
+        lambda w, backend: repair_database(w.instance, w.constraints, parallel=backend),
+        lambda w, backend: IncrementalRepairer(
+            w.instance, w.constraints, parallel=backend
+        ),
+        lambda w, backend: StreamingRepairer(
+            w.instance, w.constraints, parallel=backend
+        ),
+    ],
+    ids=[
+        "ExecutionPolicy",
+        "resolve",
+        "as_executor",
+        "repair_database",
+        "IncrementalRepairer",
+        "StreamingRepairer",
+    ],
+)
+def test_thread_backend_is_rejected(entry_point):
+    """The retired thread backend is a structured error at every entry."""
+    workload = census_workload(20, household_size=3, dirty_ratio=0.3, seed=3)
+    assert "thread" not in BACKENDS
+    with pytest.raises(RuntimeConfigError, match="unknown execution backend 'thread'"):
+        entry_point(workload, "thread")
+
+
 class TestExecutorMap:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "auto"])
     def test_order_preserved(self, backend):
         ex = as_executor(backend, 4)
-        assert ex.map(_square, range(17), backend) == [i * i for i in range(17)]
+        assert ex.map(_square, range(17)) == [i * i for i in range(17)]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "auto"])
     def test_worker_exceptions_propagate(self, backend):
         ex = as_executor(backend, 4)
         with pytest.raises(ConstraintError):
-            ex.map(_boom, [1, 2, 3], backend)
+            ex.map(_boom, [1, 2, 3])
 
     def test_unpicklable_work_falls_back_to_serial(self):
         ex = as_executor("process", 4)
         captured = []
         # a closure cannot be pickled, so the pool submission fails and the
         # serial fallback must still compute every result in order.
-        results = ex.map(lambda x: captured.append(x) or x + 1, [1, 2, 3], "process")
+        results = ex.map(lambda x: captured.append(x) or x + 1, [1, 2, 3])
         assert results == [2, 3, 4]
         assert captured == [1, 2, 3]
 
     def test_fallback_disabled_surfaces_pool_failure(self):
         policy = ExecutionPolicy(backend="process", max_workers=4, fallback=False)
         with pytest.raises(Exception):
-            Executor(policy).map(lambda x: x, [1, 2], "process")
+            Executor(policy).map(lambda x: x, [1, 2])
 
     def test_single_item_stays_serial(self):
         ex = as_executor("process", 4)
-        assert ex.map(lambda x: x * 3, [5], "process") == [15]
+        assert ex.map(lambda x: x * 3, [5]) == [15]
 
-    def test_instance_batches_cap_only_the_process_backend(self):
+    def test_instance_batches_one_per_worker_when_parallel(self):
         # Every process batch pickles the instance: one per worker.
-        assert as_executor("process", 2).instance_batches(3, "process") == 2
-        # Threads share it and keep the over-partitioning.
-        threads = as_executor("thread", 2)
-        assert threads.instance_batches(3, "thread") == threads.n_chunks(3) == 3
+        assert as_executor("process", 2).instance_batches(3) == 2
+        assert as_executor("process", 4).instance_batches(3) == 3
+        # In-process dispatch makes a single batch.
+        assert as_executor("serial", 2).instance_batches(3) == 1
+        assert as_executor("auto", 2).instance_batches(3) == 1
 
     def test_as_executor_idempotent(self):
-        ex = as_executor("thread", 2)
+        ex = as_executor("process", 2)
         assert as_executor(ex) is ex
         assert as_executor(ex, 6).workers == 6
 

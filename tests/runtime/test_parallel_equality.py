@@ -35,7 +35,7 @@ APPROXIMATE_SOLVERS = {
     "modified-layer": modified_layer_cover,
 }
 
-BACKENDS = ["thread", "process"]
+BACKENDS = ["process", "auto"]
 
 
 def random_clustered_instance(seed: int) -> SetCoverInstance:
@@ -188,7 +188,7 @@ class TestEngineEquality:
 
 
 class TestIncrementalEquality:
-    @pytest.mark.parametrize("parallel", [None, "thread", "process", True])
+    @pytest.mark.parametrize("parallel", [None, "process", "auto", True])
     def test_commits_match_serial(self, parallel):
         workload = client_buy_workload(80, inconsistency_ratio=0.2, seed=9)
         reference = IncrementalRepairer(workload.instance, workload.constraints)

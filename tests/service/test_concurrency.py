@@ -9,9 +9,12 @@ leave the queue and the artifact cache consistent for their successors.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.exceptions import RuntimeConfigError
 from repro.repair.engine import repair_database
+from repro.runtime import ExecutionPolicy
 from repro.service import (
     CANCELLED,
     FAILED,
@@ -100,10 +103,10 @@ class TestConcurrentParity:
             assert view.attempts == kills + 1
             _assert_same(service._job(view.id).result, serial)
 
-    def test_thread_parallel_jobs_match_serial(self):
-        """Jobs that themselves fan out through the thread executor."""
+    def test_auto_parallel_jobs_match_serial(self):
+        """Jobs that decompose in-process under ``parallel="auto"``."""
         workload = client_buy_workload(40, inconsistency_ratio=0.4, seed=11)
-        params = {"parallel": "thread", "max_workers": 2}
+        params = {"parallel": "auto", "max_workers": 2}
         requests = [
             JobRequest(workload.instance, tuple(workload.constraints), params=params)
         ] * 3
@@ -187,6 +190,24 @@ class TestFaultedNeighbours:
         views, service = run_jobs(requests, workers=1, faults=faults)
         assert [v.status for v in views] == [SUCCEEDED, FAILED, SUCCEEDED]
         assert views[1].error.code == "poisoned-artifact"
+        serial = _serial(workload, {})
+        _assert_same(service._job(views[0].id).result, serial)
+        _assert_same(service._job(views[2].id).result, serial)
+
+    def test_thread_backend_job_fails_alone(self):
+        """A job asking for the retired thread backend fails with the
+        structured ``RuntimeConfigError``; its neighbours still succeed."""
+        workload = client_buy_workload(25, inconsistency_ratio=0.4, seed=9)
+        requests = [
+            JobRequest(workload.instance, tuple(workload.constraints), params=params)
+            for params in ({}, {"parallel": "thread"}, {})
+        ]
+        views, service = run_jobs(requests, workers=2)
+        assert [v.status for v in views] == [SUCCEEDED, FAILED, SUCCEEDED]
+        with pytest.raises(RuntimeConfigError) as expected:
+            ExecutionPolicy.resolve("thread")
+        assert views[1].error.code == "repair-error"
+        assert views[1].error.message == str(expected.value)
         serial = _serial(workload, {})
         _assert_same(service._job(views[0].id).result, serial)
         _assert_same(service._job(views[2].id).result, serial)

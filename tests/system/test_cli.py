@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.runtime import BACKENDS
 from repro.system.cli import build_parser, lint_main, main, repro_main
 
 
@@ -70,8 +71,20 @@ class TestCli:
         assert "modified-greedy" in parser.format_help()
 
     def test_parallel_override(self, config_path, capsys):
-        assert main([config_path, "--parallel", "thread", "--dry-run"]) == 0
+        assert main([config_path, "--parallel", "auto", "--dry-run"]) == 0
         capsys.readouterr()
+
+    def test_parallel_choices_are_the_runtime_backends(self):
+        (action,) = [
+            a for a in build_parser()._actions if a.dest == "parallel"
+        ]
+        assert tuple(action.choices) == BACKENDS
+
+    def test_removed_thread_backend_exits_2(self, config_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([config_path, "--parallel", "thread", "--dry-run"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_parallel_with_workers(self, config_path, capsys):
         args = [config_path, "--parallel", "process", "--max-workers", "2"]

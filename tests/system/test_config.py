@@ -178,6 +178,26 @@ class TestRuntimeBlock:
             assert repr(valid) in message
         assert not hasattr(RepairConfig, "solver_engine")
 
+    @pytest.mark.parametrize(
+        "runtime, message",
+        [
+            ({"backend": "thread"}, "runtime.backend must be one of"),
+            (
+                {"streaming": {"enabled": True, "shards": 4}},
+                "unknown runtime.streaming key(s) ['shards']",
+            ),
+        ],
+        ids=["backend-thread", "streaming-shards"],
+    )
+    def test_removed_thread_inputs_rejected(self, runtime, message):
+        """The retired thread backend and its shards key are config errors."""
+        data = minimal_config()
+        data["runtime"] = runtime
+        with pytest.raises(ConfigError) as exc:
+            RepairConfig.from_dict(data)
+        assert message in str(exc.value)
+        assert not hasattr(RepairConfig, "streaming_shards")
+
     def test_detection_engine_parsed(self):
         data = minimal_config()
         assert RepairConfig.from_dict(data).detection_engine == "auto"
@@ -200,7 +220,6 @@ class TestStreamingBlock:
         assert config.streaming_max_pending == 1024
         assert config.streaming_commit_interval == 256
         assert config.streaming_backpressure == "block"
-        assert config.streaming_shards is None
 
     def test_boolean_form(self):
         data = minimal_config()
@@ -217,7 +236,6 @@ class TestStreamingBlock:
                 "max_pending": 64,
                 "commit_interval": None,
                 "backpressure": "error",
-                "shards": 4,
             }
         }
         config = RepairConfig.from_dict(data)
@@ -225,7 +243,6 @@ class TestStreamingBlock:
         assert config.streaming_max_pending == 64
         assert config.streaming_commit_interval is None
         assert config.streaming_backpressure == "error"
-        assert config.streaming_shards == 4
 
     @pytest.mark.parametrize(
         "streaming, message",

@@ -174,10 +174,6 @@ class TestInterleavedCommitRounds:
         cache.check_consistent()
         assert set(before) <= set(cache.built_signatures)
 
-    def test_sharded_rounds_share_one_consistent_cache(self):
-        streamer, cache, _workload = self._rounds(shards=4)
-        cache.check_consistent()
-
 
 class TestDetectorIntegration:
     def test_anchored_detection_with_cache_matches_full(self):

@@ -220,7 +220,7 @@ class TestRepairParity:
     @pytest.mark.parametrize(
         "algorithm", ["greedy", "modified-greedy", "layer", "modified-layer"]
     )
-    @pytest.mark.parametrize("parallel", [None, "thread"])
+    @pytest.mark.parametrize("parallel", [None, "process"])
     def test_approximate_solvers(self, algorithm, parallel):
         workload = client_buy_workload(60, seed=9)
         results = {
