@@ -811,6 +811,9 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
+    if args.size < 1:
+        print("error: --size must be >= 1", file=sys.stderr)
+        return 2
     try:
         faults = _parse_fault_specs(
             args.inject_kill, args.inject_stall, args.inject_poison

@@ -90,14 +90,13 @@ def census_workload(
         raise ValueError("dirty_ratio must be in [0, 1]")
 
     rng = random.Random(seed)
-    schema = census_schema()
-    instance = DatabaseInstance(schema)
-
+    households: list[tuple[int, int, int]] = []
+    persons: list[tuple[int, int, int, int]] = []
     for hid in range(n_households):
         dirty = rng.random() < dirty_ratio
         big_family = dirty and rng.random() < 0.5
         nchild = rng.randint(21, 30) if big_family else rng.randint(0, 6)
-        instance.insert_row("Household", (hid, nchild, rng.randint(1, 8)))
+        households.append((hid, nchild, rng.randint(1, 8)))
         for pid in range(household_size):
             bad_age = dirty and rng.random() < 0.4
             age = rng.randint(121, 200) if bad_age else rng.randint(0, 99)
@@ -105,8 +104,12 @@ def census_workload(
             income = (
                 rng.randint(200001, 500000) if rich else rng.randint(0, 150000)
             )
-            instance.insert_row("Person", (hid, pid, age, income))
+            persons.append((hid, pid, age, income))
 
+    schema = census_schema()
+    instance = DatabaseInstance.from_rows(
+        schema, {"Household": households, "Person": persons}
+    )
     return Workload(
         name="census",
         schema=schema,

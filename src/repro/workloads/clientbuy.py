@@ -116,9 +116,8 @@ def client_buy_workload(
         raise ValueError("bad_price_range must start above 25")
 
     rng = random.Random(seed)
-    schema = client_buy_schema()
-    instance = DatabaseInstance(schema)
-
+    clients: list[tuple[int, int, int]] = []
+    buys: list[tuple[int, int, int]] = []
     for client_id in range(n_clients):
         inconsistent = rng.random() < inconsistency_ratio
         if inconsistent:
@@ -131,7 +130,7 @@ def client_buy_workload(
         else:
             age = rng.randint(18, 80)
             credit = rng.randint(0, 100)
-        instance.insert_row("Client", (client_id, age, credit))
+        clients.append((client_id, age, credit))
 
         n_buys = rng.randint(min_buys, max_buys)
         forced = rng.randrange(n_buys) if inconsistent else -1
@@ -142,8 +141,12 @@ def client_buy_workload(
                 price = rng.randint(*bad_price_range)
             else:
                 price = rng.randint(1, 25)
-            instance.insert_row("Buy", (client_id, item, price))
+            buys.append((client_id, item, price))
 
+    schema = client_buy_schema()
+    instance = DatabaseInstance.from_rows(
+        schema, {"Client": clients, "Buy": buys}
+    )
     return Workload(
         name="client-buy",
         schema=schema,

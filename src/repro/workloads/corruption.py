@@ -52,22 +52,6 @@ class CorruptionResult:
         return {(e.ref, e.attribute): e for e in self.errors}
 
 
-def _corruptible_cells(
-    instance: DatabaseInstance,
-    directions: Mapping[tuple[str, str], set],
-) -> list[tuple[TupleRef, str, FixDirection]]:
-    cells = []
-    for relation in instance.schema:
-        for attribute in relation.flexible_attributes:
-            found = directions.get((relation.name, attribute.name))
-            if not found or len(found) != 1:
-                continue
-            direction = next(iter(found))
-            for tup in instance.tuples(relation.name):
-                cells.append((tup.ref, attribute.name, direction))
-    return cells
-
-
 def corrupt(
     instance: DatabaseInstance,
     constraints: Iterable[DenialConstraint],
@@ -85,6 +69,11 @@ def corrupt(
     yields a violation (the denial may need join partners), which mirrors
     real error injection.
 
+    Cells are visited in (relation, attribute, tuple) order with one
+    ``rng.random()`` draw each, so equal seeds give equal corruptions; a
+    :class:`TupleRef` and a replacement tuple are built only for the
+    cells that draw an error.
+
     The input is expected to be the clean truth; it is never mutated.
     """
     if not 0.0 <= cell_rate <= 1.0:
@@ -97,20 +86,31 @@ def corrupt(
     directions = comparison_directions(constraints, instance.schema)
     dirty = instance.copy()
     errors: list[InjectedError] = []
-    for ref, attribute, direction in _corruptible_cells(instance, directions):
-        if rng.random() >= cell_rate:
-            continue
-        tup = dirty.resolve(ref)
-        clean_value = tup[attribute]
-        offset = rng.randint(1, max_offset)
-        # UP-direction attributes are fixed by raising the value, so the
-        # error lowers it; DOWN-direction attributes the other way round.
-        if direction is FixDirection.UP:
-            dirty_value = clean_value - offset
-        else:
-            dirty_value = clean_value + offset
-        dirty.replace_tuple(tup.replace({attribute: dirty_value}))
-        errors.append(InjectedError(ref, attribute, clean_value, dirty_value))
+    draw = rng.random
+    for relation in instance.schema:
+        name = relation.name
+        for attribute in relation.flexible_attributes:
+            column = attribute.name
+            found = directions.get((name, column))
+            if not found or len(found) != 1:
+                continue
+            direction = next(iter(found))
+            for clean_tuple in instance.tuples(name):
+                if draw() >= cell_rate:
+                    continue
+                ref = TupleRef(name, clean_tuple.key)
+                tup = dirty.resolve(ref)
+                clean_value = tup[column]
+                offset = rng.randint(1, max_offset)
+                # UP-direction attributes are fixed by raising the value,
+                # so the error lowers it; DOWN-direction attributes the
+                # other way round.
+                if direction is FixDirection.UP:
+                    dirty_value = clean_value - offset
+                else:
+                    dirty_value = clean_value + offset
+                dirty.replace_tuple(tup.replace({column: dirty_value}))
+                errors.append(InjectedError(ref, column, clean_value, dirty_value))
 
     return CorruptionResult(
         clean=instance.copy(), dirty=dirty, errors=tuple(errors)

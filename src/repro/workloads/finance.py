@@ -81,8 +81,8 @@ def finance_workload(
         raise ValueError("dirty_ratio must be in [0, 1]")
 
     rng = random.Random(seed)
-    schema = finance_schema()
-    instance = DatabaseInstance(schema)
+    accounts: list[tuple[int, str, int, int]] = []
+    transfers: list[tuple[int, int, int]] = []
     tid = 0
     regions = ("north", "south", "east", "west")
 
@@ -96,9 +96,7 @@ def finance_workload(
             balance = rng.randint(-5000, 999)
         else:
             balance = rng.randint(1000, 100000)
-        instance.insert_row(
-            "Account", (aid, rng.choice(regions), balance, -20000)
-        )
+        accounts.append((aid, rng.choice(regions), balance, -20000))
         for _ in range(transfers_per_account):
             if dirty and rng.random() < 0.5:
                 amount = (
@@ -108,9 +106,13 @@ def finance_workload(
                 )
             else:
                 amount = rng.randint(1, 10000)
-            instance.insert_row("Transfer", (tid, aid, amount))
+            transfers.append((tid, aid, amount))
             tid += 1
 
+    schema = finance_schema()
+    instance = DatabaseInstance.from_rows(
+        schema, {"Account": accounts, "Transfer": transfers}
+    )
     return Workload(
         name="finance",
         schema=schema,

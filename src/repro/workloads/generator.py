@@ -84,16 +84,16 @@ def random_detection_workload(
     from repro.workloads.clientbuy import client_buy_schema
 
     rng = random.Random(seed)
-    schema = client_buy_schema()
-    instance = DatabaseInstance(schema)
+    clients: list[tuple[int, int, int]] = []
+    buys: list[tuple[int, int, int]] = []
     for client_id in range(n_clients):
-        instance.insert_row(
-            "Client", (client_id, rng.randint(0, 30), rng.randint(0, 60))
-        )
+        clients.append((client_id, rng.randint(0, 30), rng.randint(0, 60)))
         for item in range(rng.randint(0, 3)):
-            instance.insert_row(
-                "Buy", (client_id, item, rng.randint(0, 40))
-            )
+            buys.append((client_id, item, rng.randint(0, 40)))
+    schema = client_buy_schema()
+    instance = DatabaseInstance.from_rows(
+        schema, {"Client": clients, "Buy": buys}
+    )
     constraints = tuple(
         _random_constraint(rng, index) for index in range(n_constraints)
     )

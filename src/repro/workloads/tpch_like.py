@@ -113,32 +113,31 @@ def tpch_like_workload(
     rng = random.Random(seed)
     schema = tpch_like_schema()
     constraints = tuple(parse_denials(TPCH_CONSTRAINTS))
-    instance = DatabaseInstance(schema)
 
     n_customers = max(1, round(CUSTOMERS_PER_SF * scale_factor))
+    customers: list[tuple[int, str, int]] = []
+    orders: list[tuple[int, int, str, int]] = []
+    lineitems: list[tuple[int, int, int, int, int, int]] = []
     orderkey = 0
     for custkey in range(n_customers):
         # Clean ranges sit strictly inside every constraint's allowed
         # region: acctbal >= 10 (tq4/tq5), totalprice <= 5000 (tq5),
         # quantity <= 45 (tq1/tq6), discount <= 10 (tq2), shipdelay
         # <= 120 (tq3) - so the clean instance is consistent.
-        instance.insert_row(
-            "Customer",
-            (custkey, rng.choice(_SEGMENTS), rng.randint(10, 9999)),
+        customers.append(
+            (custkey, rng.choice(_SEGMENTS), rng.randint(10, 9999))
         )
         for _ in range(rng.randint(5, 15)):
-            instance.insert_row(
-                "Orders",
+            orders.append(
                 (
                     orderkey,
                     custkey,
                     rng.choice(_PRIORITIES),
                     rng.randint(100, 5000),
-                ),
+                )
             )
             for linenumber in range(rng.randint(1, 7)):
-                instance.insert_row(
-                    "Lineitem",
+                lineitems.append(
                     (
                         orderkey,
                         linenumber,
@@ -146,9 +145,13 @@ def tpch_like_workload(
                         rng.randint(100, 99999),
                         rng.randint(0, 10),
                         rng.randint(1, 120),
-                    ),
+                    )
                 )
             orderkey += 1
+    instance = DatabaseInstance.from_rows(
+        schema,
+        {"Customer": customers, "Orders": orders, "Lineitem": lineitems},
+    )
 
     params = {
         "scale_factor": scale_factor,

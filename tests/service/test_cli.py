@@ -139,6 +139,13 @@ class TestServeUsage:
         assert serve_main(["--workload", "clientbuy", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workload", ["clientbuy", "tpch"])
+    @pytest.mark.parametrize("size", ["0", "-50"])
+    def test_size_must_be_positive(self, workload, size, capsys):
+        args = ["--workload", workload, "--jobs", "1", "--size", size]
+        assert serve_main(args) == 2
+        assert "--size" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -49,6 +49,21 @@ class TestGeneration:
         # error produces at least one violation involving that tuple.
         assert not is_consistent(workload.instance, workload.constraints)
 
+    def test_corruption_builds_refs_only_for_corrupted_tuples(self):
+        """``corrupt`` draws per cell but names only the cells it corrupts:
+        every other tuple comes out without a cached ``TupleRef``."""
+        dirty = tpch_like_workload(2, violation_ratio=0.02, seed=12).instance
+        clean = tpch_like_workload(2, seed=12).instance
+        corrupted = untouched = 0
+        for relation in dirty.schema:
+            for tup in dirty.tuples(relation.name):
+                if tup.values != clean.get(relation.name, tup.key).values:
+                    corrupted += 1
+                    continue
+                untouched += 1
+                assert tup._ref is None, tup
+        assert corrupted and untouched
+
     def test_every_constraint_pushes_down(self):
         """The measure columns are all-integer, so pushdown never refuses
         any of the bundled constraints (the benchmark relies on this)."""
