@@ -55,6 +55,27 @@ def require_numpy() -> "numpy":
     return _np
 
 
+def _decimal_order(columns: "list[numpy.ndarray]") -> "numpy.ndarray":
+    """Stable permutation sorting rows by the decimal strings of int64 keys.
+
+    ``columns[0]`` is the most significant key.  The strings are never
+    built: ``str(v) < str(w)`` puts every negative (``-`` sorts below the
+    digits) first, then compares the digit strings of the magnitudes -
+    which is comparing the magnitudes right-padded with zeros to 19
+    digits, the shorter string first on a tie.
+    """
+    powers = _np.array([10**k for k in range(20)], dtype=_np.uint64)
+    keys = []
+    for column in reversed(columns):
+        negative = column < 0
+        magnitude = column.astype(_np.uint64)
+        # |v| of a negative int64, int64 min included, in uint64.
+        magnitude[negative] = (-(column[negative] + 1)).astype(_np.uint64) + 1
+        digits = _np.maximum(_np.searchsorted(powers, magnitude, side="right"), 1)
+        keys += [digits, magnitude * powers[19 - digits], ~negative]
+    return _np.lexsort(keys)
+
+
 class ColumnarRelation:
     """One relation's tuples as per-attribute arrays (immutable snapshot).
 
@@ -65,7 +86,9 @@ class ColumnarRelation:
     cached for the snapshot's lifetime.
     """
 
-    __slots__ = ("relation_name", "tuples", "_columns", "_numeric", "_rows")
+    __slots__ = (
+        "relation_name", "tuples", "_columns", "_numeric", "_exact", "_rows"
+    )
 
     def __init__(self, relation_name: str, tuples: tuple[Tuple, ...]) -> None:
         require_numpy()
@@ -73,6 +96,7 @@ class ColumnarRelation:
         self.tuples = tuples
         self._columns: dict[int, Any] = {}
         self._numeric: dict[int, Any] = {}
+        self._exact: dict[int, bool] = {}
         self._rows: dict[Tuple, int] | None = None
 
     def __len__(self) -> int:
@@ -95,17 +119,54 @@ class ColumnarRelation:
         other type, or a value outside the int64 range, disables the
         numeric fast path for the whole column.
         """
-        if position in self._numeric:
-            return self._numeric[position]
+        if position not in self._numeric:
+            self._scan(position)
+        return self._numeric[position]
+
+    def exact_ints(self, position: int) -> "numpy.ndarray | None":
+        """:meth:`numeric`, but only when every value is an exact ``int``.
+
+        Booleans print as ``True``/``False`` and carry another type name,
+        so the canonical ref order (:meth:`ref_order`) cannot rank them
+        by decimal string; such columns return ``None``.
+        """
+        if position not in self._numeric:
+            self._scan(position)
+        return self._numeric[position] if self._exact[position] else None
+
+    def _scan(self, position: int) -> None:
         values = [tup.values[position] for tup in self.tuples]
+        types = set(map(type, values))
         array = None
-        if all(isinstance(value, int) for value in values):
+        if all(issubclass(kind, int) for kind in types):
             try:
                 array = _np.array(values, dtype=_np.int64)
             except (OverflowError, ValueError):
                 array = None
         self._numeric[position] = array
-        return array
+        self._exact[position] = array is not None and types <= {int}
+
+    def ref_order(self, rows: "numpy.ndarray") -> "numpy.ndarray":
+        """``rows`` (distinct row indices) permuted into canonical ref order.
+
+        Canonical ref order is :attr:`TupleRef.sort_key` order: per key
+        position the value's type name, then its ``str``.  No ``TupleRef``
+        is built: key columns with :meth:`exact_ints` arrays are ranked in
+        NumPy (:func:`_decimal_order`), any other key by a Python sort on
+        that type-tagged key.
+        """
+        if len(rows) == 0:
+            return rows
+        positions = self.tuples[0].relation.key_positions
+        arrays = [self.exact_ints(position) for position in positions]
+        if all(array is not None for array in arrays):
+            return rows[_decimal_order([array[rows] for array in arrays])]
+        keys = [
+            tuple((type(v).__name__, str(v)) for v in self.tuples[row].key)
+            for row in rows.tolist()
+        ]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return rows[_np.array(order, dtype=_np.int64)]
 
     def row_of(self, tup: Tuple) -> int | None:
         """Row index of a tuple (anchored detection), ``None`` if absent."""

@@ -12,11 +12,11 @@ chain entry with the downgrade recorded on the
 ``plan_engine_downgrades`` counter.  Every chain ends in
 ``"interpreted"``, which cannot refuse.
 
-Byte parity with the unplanned path holds by construction: all engines
-feed the same minimality + ordering funnel
-(:func:`repro.violations.detector._ordered_violation_sets`), dead
-entries have provably empty violation sets, and results concatenate in
-original constraint order.
+Byte parity with the unplanned path holds by construction: every engine
+produces the canonical minimality + ordering of
+:func:`repro.violations.detector._ordered_violation_sets`, dead entries
+have provably empty violation sets, and results concatenate in original
+constraint order (:func:`~repro.violations.columns.concat_violations`).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.exceptions import KernelError, PlanError, PushdownError
 from repro.model.instance import DatabaseInstance
 from repro.obs import current_tracer
 from repro.plan.program import CompiledProgram
+from repro.violations.columns import concat_violations
 from repro.violations.detector import ViolationSet, find_violations
 from repro.violations.pushdown import pushdown_ready
 
@@ -51,7 +52,7 @@ def planned_find_violations(
     constraint: DenialConstraint,
     chain: Sequence[str],
     max_violations: int | None = None,
-) -> tuple[ViolationSet, ...]:
+) -> Sequence[ViolationSet]:
     """Run one constraint's detection down its planned engine chain."""
     engines = effective_chain(chain, instance)
     if not engines:
@@ -80,7 +81,7 @@ def planned_find_all_violations(
     plan: CompiledProgram,
     max_violations: int | None = None,
     executor: Any = None,
-) -> tuple[ViolationSet, ...]:
+) -> Sequence[ViolationSet]:
     """``I(D, IC)`` driven by a compiled plan, in constraint order.
 
     The caller has already validated the plan against
@@ -102,10 +103,7 @@ def planned_find_all_violations(
             planned_find_violations(instance, constraint, chain, max_violations)
             for constraint, chain in work
         ]
-    result: list[ViolationSet] = []
-    for violations in per_constraint:
-        result.extend(violations)
-    return tuple(result)
+    return concat_violations(per_constraint)
 
 
 def _planned_parallel(
@@ -113,7 +111,7 @@ def _planned_parallel(
     work: "list[tuple[DenialConstraint, tuple[str, ...]]]",
     max_violations: int | None,
     executor: Any,
-) -> "list[tuple[ViolationSet, ...]] | None":
+) -> "list[Sequence[ViolationSet]] | None":
     """Fan planned detection out per constraint; ``None`` = stay serial."""
     if executor is None:
         return None
@@ -138,7 +136,7 @@ def _planned_parallel(
         )
         for chunk in chunks
     ]
-    results: "list[tuple[ViolationSet, ...] | None]" = [None] * len(work)
+    results: "list[Sequence[ViolationSet] | None]" = [None] * len(work)
     outcomes = ex.map(detect_planned_batch, payloads)
     for chunk, outcome in zip(chunks, outcomes):
         if tracer.enabled:

@@ -12,6 +12,12 @@ sets they solve across *all* constraints (Algorithm 4) using a per-tuple
 index of ``I(D, IC, t)`` so the work stays proportional to the degree of
 inconsistency.
 
+It reads ``I(D, IC)`` in slot form: the distinct tuples in ref order and
+one row of tuple slots per violation set.  The kernel engine hands that
+over directly (:class:`~repro.violations.columns.ViolationColumns`);
+plain violation sets are converted first, so one pass serves both and no
+``TupleRef`` is built to order the sets.
+
 It runs as one compiled pass.  The Definition-2.8 data of every
 (constraint, relation, flexible attribute) is compiled once into a
 :class:`~repro.fixes.mlf.FixDescriptor`; candidates live in parallel
@@ -43,6 +49,7 @@ from repro.model.instance import DatabaseInstance
 from repro.model.tuples import Tuple
 from repro.obs import current_tracer
 from repro.setcover.instance import SetCoverInstance
+from repro.violations.columns import ViolationColumns, slot_form
 from repro.violations.detector import ViolationSet, find_all_violations
 
 
@@ -53,8 +60,9 @@ class RepairProblem:
     ``violations[j]`` is universe element ``j``.  Set ``i`` is the fix
     ``tuples[set_slots[i]][set_descriptors[i].attribute] := set_values[i]``
     with weight ``setcover.weights[i]``, proposed by the constraints
-    labelled ``set_sources[i]`` (a label, or a tuple of labels).  Sets are
-    numbered in (tuple ref, attribute, new value) order.  These columns are
+    labelled ``set_sources[i]`` (a label, or a tuple of labels).
+    ``tuples`` are in ref order, and sets are numbered in (tuple ref,
+    attribute, new value) order.  These columns are
     the one representation of the fixes: ``setcover.sets[i].payload`` is
     the :class:`FixCandidate` built from them on request.
     """
@@ -62,7 +70,7 @@ class RepairProblem:
     instance: DatabaseInstance
     constraints: tuple[DenialConstraint, ...]
     metric: DistanceMetric
-    violations: tuple[ViolationSet, ...]
+    violations: Sequence[ViolationSet]
     setcover: SetCoverInstance
     tuples: Sequence[Tuple]
     set_slots: Sequence[int]
@@ -101,7 +109,9 @@ def build_repair_problem(
         Cell distance for fix weights (default city distance ``L₁``).
     violations:
         Precomputed ``I(D, IC)`` to reuse, e.g. from a profiling pass:
-        minimal violation sets, as every detection engine returns them.
+        minimal violation sets, as every detection engine returns them -
+        a :class:`~repro.violations.columns.ViolationColumns` view is read
+        as is, any other sequence is converted to its slot form.
 
     Raises
     ------
@@ -118,20 +128,33 @@ def build_repair_problem(
 
     if violations is None:
         violations = find_all_violations(instance, constraints)
-    violations = tuple(violations)
+    elif not isinstance(violations, ViolationColumns):
+        violations = tuple(violations)
+    # The slot form of I(D, IC): the distinct member tuples in ref order
+    # (so a slot is a rank), one row of member slots per violation set
+    # (-1 pads a view's rows) and one block per constraint.  The kernel
+    # engine hands it over as is; plain violation sets are converted.
+    if isinstance(violations, ViolationColumns):
+        tuples: Sequence[Tuple] = violations.tuples
+        rows: list = violations.slots.tolist()
+        blocks = list(violations.blocks())
+    else:
+        tuples, rows, block_constraints, bounds = slot_form(violations)
+        blocks = [
+            (constraint, bounds[b], bounds[b + 1])
+            for b, constraint in enumerate(block_constraints)
+        ]
 
-    # Pass 1 (Algorithm 3): number the tuples of I(D, IC), record which
-    # violation sets each is in, and expand every (tuple, constraint) pair
-    # into its mono-local fixes once.  Candidates are keyed by (tuple,
-    # attribute, new value), so a fix several constraints produce is one
-    # set (Example 2.10: ic₁ and ic₂ both yield t₁¹) with merged source
-    # labels.  Keys and columns hold ints and strings only, which keeps
-    # the garbage collector out of the pass.
+    # Pass 1 (Algorithm 3): record which violation sets each tuple slot
+    # is in, and expand every (tuple, constraint) pair into its mono-local
+    # fixes once.  Candidates are keyed by (slot, attribute, new value),
+    # so a fix several constraints produce is one set (Example 2.10: ic₁
+    # and ic₂ both yield t₁¹) with merged source labels.  Keys and
+    # columns hold ints and strings only, which keeps the garbage
+    # collector out of the pass.
     # id(constraint) -> (descriptors by relation name, label, expanded slots)
     tables: dict[int, tuple[dict[str, dict[str, FixDescriptor]], str, set[int]]] = {}
     violation_tables: list[dict[str, dict[str, FixDescriptor]]] = []
-    slot_of: dict[Tuple, int] = {}
-    tuples: list[Tuple] = []
     member_slots: list[int] = []        # tuple slot of each (violation, member)
     member_violations: list[int] = []   # ... and its violation index
     candidate_of: dict[tuple[int, str, int], int] = {}
@@ -140,48 +163,47 @@ def build_repair_problem(
     new_values: list[int] = []
     labels: list = []                   # a label; a tuple once merged
     n_fixes = 0
-    for index, violation in enumerate(violations):
-        constraint = violation.constraint
+    for constraint, start, stop in blocks:
         entry = tables.get(id(constraint))
         if entry is None:
             entry = tables[id(constraint)] = ({}, constraint.label, set())
         table, label, expanded = entry
-        violation_tables.append(table)
-        for tup in violation.tuples:
-            slot = slot_of.get(tup)
-            if slot is None:
-                slot = slot_of[tup] = len(tuples)
-                tuples.append(tup)
-            member_slots.append(slot)
-            member_violations.append(index)
-            relation = tup.relation
-            descriptors = table.get(relation.name)
-            if descriptors is None:
-                descriptors = table[relation.name] = fix_descriptors(
-                    constraint, relation
-                )
-            if slot in expanded:
-                continue
-            expanded.add(slot)
-            values = tup.values
-            for descriptor in descriptors.values():
-                new_value = descriptor.fix(values[descriptor.position])
-                if new_value is None:
+        for index in range(start, stop):
+            violation_tables.append(table)
+            for slot in rows[index]:
+                if slot < 0:
+                    break
+                member_slots.append(slot)
+                member_violations.append(index)
+                if slot in expanded:
                     continue
-                n_fixes += 1
-                key = (slot, descriptor.attribute, new_value)
-                found = candidate_of.get(key)
-                if found is None:
-                    candidate_of[key] = len(slots)
-                    slots.append(slot)
-                    descriptors_used.append(descriptor)
-                    new_values.append(new_value)
-                    labels.append(label)
-                elif isinstance(labels[found], str):
-                    if labels[found] != label:
-                        labels[found] = (labels[found], label)
-                elif label not in labels[found]:
-                    labels[found] += (label,)
+                expanded.add(slot)
+                tup = tuples[slot]
+                relation = tup.relation
+                descriptors = table.get(relation.name)
+                if descriptors is None:
+                    descriptors = table[relation.name] = fix_descriptors(
+                        constraint, relation
+                    )
+                values = tup.values
+                for descriptor in descriptors.values():
+                    new_value = descriptor.fix(values[descriptor.position])
+                    if new_value is None:
+                        continue
+                    n_fixes += 1
+                    key = (slot, descriptor.attribute, new_value)
+                    found = candidate_of.get(key)
+                    if found is None:
+                        candidate_of[key] = len(slots)
+                        slots.append(slot)
+                        descriptors_used.append(descriptor)
+                        new_values.append(new_value)
+                        labels.append(label)
+                    elif isinstance(labels[found], str):
+                        if labels[found] != label:
+                            labels[found] = (labels[found], label)
+                    elif label not in labels[found]:
+                        labels[found] += (label,)
     if violations:
         current_tracer().metrics.counter("mlf_evaluations").inc(n_fixes)
 
@@ -197,14 +219,10 @@ def build_repair_problem(
         tuple_violations[cursor[slot]] = index
         cursor[slot] += 1
 
-    # Sets ordered by (tuple ref, attribute, new value).
-    if all(tup.ref.flat_sort_key is not None for tup in tuples):
-        ref_keys = [tup.ref.flat_sort_key for tup in tuples]
-    else:
-        ref_keys = [tup.ref.sort_key for tup in tuples]
+    # Sets ordered by (tuple ref, attribute, new value): slots are ranks.
     order = sorted(
         range(len(slots)),
-        key=lambda i: (ref_keys[slots[i]], descriptors_used[i].attribute, new_values[i]),
+        key=lambda i: (slots[i], descriptors_used[i].attribute, new_values[i]),
     )
 
     # Pass 2 (Algorithm 4): S(t, t′) for every candidate, across all

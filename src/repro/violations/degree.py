@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.constraints.denial import DenialConstraint
+from repro.model.columnar import require_numpy
 from repro.model.instance import DatabaseInstance
 from repro.model.tuples import Tuple, TupleRef
+from repro.violations.columns import ViolationColumns
 from repro.violations.detector import ViolationSet, find_all_violations
 
 
@@ -25,7 +27,15 @@ def degree_of_tuple(violations: Iterable[ViolationSet], tup: Tuple) -> int:
 
 
 def degree_of_database(violations: Iterable[ViolationSet]) -> int:
-    """``Deg(D, IC)``: the maximum tuple degree (0 for a consistent D)."""
+    """``Deg(D, IC)``: the maximum tuple degree (0 for a consistent D).
+
+    A :class:`~repro.violations.columns.ViolationColumns` answers from its
+    slot matrix, building no violation set.
+    """
+    if isinstance(violations, ViolationColumns):
+        slots = violations.slots
+        members = slots[slots >= 0]
+        return int(require_numpy().bincount(members).max()) if len(members) else 0
     counts: Counter[Tuple] = Counter()
     for violation in violations:
         counts.update(violation.tuples)

@@ -28,71 +28,42 @@ this *interpreted* enumeration and the columnar *kernel* executor of
   to the interpreted path on :class:`KernelError`/:class:`PushdownError`.
 
 All engines produce byte-identical results: each computes the same
-satisfying-assignment witness sets, which then flow through the same
+satisfying-assignment witness sets.  The interpreted and pushdown engines
+(and every anchored call) send them through the frozenset funnel of
 minimality reduction and deterministic ordering
-(:func:`_ordered_violation_sets`).
+(:func:`_ordered_violation_sets`).  The kernel engine computes the same
+result as arrays (:func:`_kernel_violations`) and returns it as a lazy
+:class:`~repro.violations.columns.ViolationColumns` view, which builds a
+:class:`ViolationSet` only when indexed; the funnel stays its test
+oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.constraints.denial import DenialConstraint
-from repro.exceptions import ConstraintError, KernelError, PushdownError
+from repro.exceptions import KernelError, PushdownError
+from repro.model.columnar import require_numpy
 from repro.model.instance import DatabaseInstance
 from repro.model.tuples import Tuple
 from repro.obs import current_tracer
+from repro.violations.columns import (
+    Origin,
+    ViolationColumns,
+    ViolationSet,
+    concat_violations,
+    rank_rows,
+)
 from repro.violations.kernels import (
+    KernelJoin,
     anchored_kernel_witnesses,
     kernel_available,
     kernel_witnesses,
     resolve_engine,
+    too_many_witnesses,
 )
 from repro.violations.pushdown import pushdown_has_witness, pushdown_used_sets
-
-
-@dataclass(frozen=True)
-class ViolationSet:
-    """One element of ``I(D, IC)``: a minimal violating tuple set + its ic.
-
-    Violation sets are the universe elements of the set-cover reduction
-    (Definition 3.1(a)), which pairs each tuple set with the constraint it
-    violates - ``({t₁}, ic₁)`` and ``({t₁}, ic₂)`` are *distinct* elements.
-    """
-
-    tuples: frozenset[Tuple]
-    constraint: DenialConstraint
-
-    def __contains__(self, tup: Tuple) -> bool:
-        return tup in self.tuples
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __iter__(self) -> Iterator[Tuple]:
-        return iter(self.tuples)
-
-    def sorted_tuples(self) -> tuple[Tuple, ...]:
-        """Tuples in a deterministic order (for stable output).
-
-        The order is computed once and cached on the instance - repair
-        tracing and greedy scoring call this repeatedly on the same
-        (frozen, hence immutable) violation set.  The cache is not a
-        dataclass field, so equality, hashing, and pickling are
-        unaffected.
-        """
-        cached = self.__dict__.get("_sorted_cache")
-        if cached is None:
-            cached = tuple(
-                sorted(self.tuples, key=lambda t: t.ref.sort_key)
-            )
-            object.__setattr__(self, "_sorted_cache", cached)
-        return cached
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(t) for t in self.sorted_tuples())
-        return f"ViolationSet({{{inner}}}, {self.constraint.label})"
 
 
 def _local_predicate(constraint: DenialConstraint, atom_index: int):
@@ -367,8 +338,10 @@ def _ordered_violation_sets(
 ) -> tuple[ViolationSet, ...]:
     """Minimality reduction + the deterministic output order.
 
-    All engines (interpreted, kernel, pushdown) funnel their witness sets
-    through here, which is what makes their results byte-identical.
+    The interpreted and pushdown engines funnel their witness sets through
+    here; the kernel's array form (:func:`_kernel_violations`) must give
+    the same sets in the same order, which is what makes the engines'
+    results byte-identical.
 
     The canonical order is by the sorted list of member ``sort_key``\\ s.
     The hot path compares :attr:`TupleRef.flat_sort_key` instead - a flat
@@ -402,19 +375,72 @@ def _ordered_violation_sets(
     return tuple(ViolationSet(s, constraint) for s in ordered)
 
 
-def _kernel_used_sets(
-    instance: DatabaseInstance,
-    constraint: DenialConstraint,
-    max_violations: int | None,
-) -> set[frozenset[Tuple]]:
-    """Kernel witness retrieval with the ``max_violations`` safety valve."""
-    used_sets, count = kernel_witnesses(instance, constraint)
-    if max_violations is not None and count > max_violations:
-        raise ConstraintError(
-            f"{constraint.label}: more than {max_violations} violation "
-            "witnesses; refusing to enumerate further"
-        )
-    return used_sets
+def _kernel_violations(join: KernelJoin, constraint: DenialConstraint) -> ViolationColumns:
+    """``I(D, ic)`` straight from a kernel join, as a :class:`ViolationColumns`.
+
+    The array form of :func:`_ordered_violation_sets`, with the same
+    result:
+
+    * the involved rows of each relation are ranked once in canonical ref
+      order (:meth:`~repro.model.columnar.ColumnarRelation.ref_order`),
+      relations in name order, so a witness becomes a row of ranks;
+    * each row is sorted and deduplicated (self-joins can bind one tuple
+      twice), padding with ``-1`` on the right - the ``-1`` sorts before
+      every rank, which is the prefix rule of comparing sorted key lists;
+    * one ``lexsort`` orders the rows, and adjacent duplicates are
+      dropped;
+    * minimality (:func:`_minimal_sets`) runs only when rows differ in
+      size, which needs a relation bound by two atoms.
+    """
+    np = require_numpy()
+    if join.size == 0:
+        return ViolationColumns((), np.empty((0, 0), dtype=np.int64), (constraint,), (0, 0))
+    segments: dict[str, tuple[Any, list[Any]]] = {}
+    for snapshot, rows in zip(join.snapshots, join.rows):
+        segments.setdefault(snapshot.relation_name, (snapshot, []))[1].append(rows)
+    tuples, ranked, rank_of_row = rank_rows(segments)
+    origin: Origin | None = ranked
+    matrix = np.stack(
+        [
+            rank_of_row[snapshot.relation_name][rows]
+            for snapshot, rows in zip(join.snapshots, join.rows)
+        ],
+        axis=1,
+    )
+    matrix.sort(axis=1)
+    self_join = len(segments) < len(join.snapshots)
+    if self_join:
+        repeated = matrix[:, 1:] == matrix[:, :-1]
+        if repeated.any():
+            matrix[:, 1:][repeated] = len(tuples)
+            matrix.sort(axis=1)
+            matrix[matrix == len(tuples)] = -1
+    matrix = matrix[np.lexsort(matrix.T[::-1])]
+    distinct = np.ones(len(matrix), dtype=bool)
+    distinct[1:] = (matrix[1:] != matrix[:-1]).any(axis=1)
+    matrix = matrix[distinct]
+    if self_join:
+        sizes = (matrix >= 0).sum(axis=1)
+        if sizes.min() != sizes.max():
+            rows = [
+                frozenset(row[:size])
+                for row, size in zip(matrix.tolist(), sizes.tolist())
+            ]
+            minimal = set(_minimal_sets(set(rows)))
+            matrix = matrix[np.array([row in minimal for row in rows], dtype=bool)]
+            kept = np.zeros(len(tuples), dtype=bool)
+            kept[matrix[matrix >= 0]] = True
+            if not kept.all():
+                # Drop the members only non-minimal witnesses had; the
+                # view then merges by tuple ref, not by snapshot row.
+                remap = np.full(len(tuples) + 1, -1, dtype=np.int64)
+                remap[kept] = np.arange(int(kept.sum()))
+                matrix = remap[matrix]
+                tuples = [tup for tup, keep in zip(tuples, kept.tolist()) if keep]
+                origin = None
+    return ViolationColumns(
+        tuples, matrix, (constraint,), (0, len(matrix)), origin
+    )
 
 
 def find_violations(
@@ -422,7 +448,7 @@ def find_violations(
     constraint: DenialConstraint,
     max_violations: int | None = None,
     engine: str = "auto",
-) -> tuple[ViolationSet, ...]:
+) -> Sequence[ViolationSet]:
     """Compute ``I(D, ic)``: all minimal violation sets of one constraint.
 
     ``max_violations`` bounds the number of satisfying assignments explored
@@ -456,7 +482,7 @@ def _find_violations(
     constraint: DenialConstraint,
     max_violations: int | None,
     engine: str,
-) -> tuple[ViolationSet, ...]:
+) -> Sequence[ViolationSet]:
     resolved = resolve_engine(engine, instance)
     if resolved == "pushdown":
         try:
@@ -471,21 +497,20 @@ def _find_violations(
             return _ordered_violation_sets(used_sets, constraint)
     if resolved == "kernel":
         try:
-            used_sets = _kernel_used_sets(instance, constraint, max_violations)
+            join = kernel_witnesses(
+                instance, constraint, max_violations=max_violations
+            )
         except KernelError:
             if engine == "kernel":
                 raise
         else:
-            return _ordered_violation_sets(used_sets, constraint)
+            return _kernel_violations(join, constraint)
     used_sets = set()
     for count, assignment in enumerate(
         _satisfying_assignments(instance, constraint), start=1
     ):
         if max_violations is not None and count > max_violations:
-            raise ConstraintError(
-                f"{constraint.label}: more than {max_violations} violation "
-                "witnesses; refusing to enumerate further"
-            )
+            raise too_many_witnesses(constraint, max_violations)
         used_sets.add(frozenset(assignment))
     return _ordered_violation_sets(used_sets, constraint)
 
@@ -496,7 +521,7 @@ def find_all_violations(
     max_violations: int | None = None,
     executor=None,
     engine: str = "auto",
-) -> tuple[ViolationSet, ...]:
+) -> Sequence[ViolationSet]:
     """Compute ``I(D, IC)`` across all constraints, in constraint order.
 
     ``executor`` (anything :func:`repro.runtime.as_executor` accepts) fans
@@ -530,10 +555,7 @@ def find_all_violations(
             find_violations(instance, constraint, max_violations, engine)
             for constraint in constraints
         ]
-    result: list[ViolationSet] = []
-    for violations in per_constraint:
-        result.extend(violations)
-    return tuple(result)
+    return concat_violations(per_constraint)
 
 
 def _detect_parallel(
@@ -542,7 +564,7 @@ def _detect_parallel(
     max_violations: int | None,
     executor,
     engine: str = "auto",
-) -> list[tuple[ViolationSet, ...]] | None:
+) -> list[Sequence[ViolationSet]] | None:
     """Per-constraint fan-out of ``find_violations``; ``None`` = stay serial."""
     if executor is None:
         return None
@@ -567,7 +589,7 @@ def _detect_parallel(
         )
         for chunk in chunks
     ]
-    results: list[tuple[ViolationSet, ...] | None] = [None] * len(constraints)
+    results: list[Sequence[ViolationSet] | None] = [None] * len(constraints)
     outcomes = ex.map(detect_constraint_batch, payloads)
     for chunk, outcome in zip(chunks, outcomes):
         if tracer.enabled:
@@ -581,8 +603,8 @@ def _detect_parallel(
 
 
 def _reintern_constraint(
-    violations: tuple[ViolationSet, ...], constraint: DenialConstraint
-) -> tuple[ViolationSet, ...]:
+    violations: Sequence[ViolationSet], constraint: DenialConstraint
+) -> Sequence[ViolationSet]:
     """Swap unpickled constraint copies for the caller's original objects.
 
     The process backend round-trips work through pickle, so the returned
@@ -590,6 +612,10 @@ def _reintern_constraint(
     copies; downstream consumers are equality-based, but keeping identity
     stable makes the parallel path indistinguishable from the serial one.
     """
+    if isinstance(violations, ViolationColumns):
+        if violations.constraints[0] is constraint:
+            return violations
+        return violations.with_constraint(constraint)
     return tuple(
         v
         if v.constraint is constraint
@@ -733,7 +759,7 @@ def find_violations_involving(
     raw_indexes: Mapping | None = None,
     executor=None,
     engine: str = "auto",
-) -> tuple[ViolationSet, ...]:
+) -> Sequence[ViolationSet]:
     """Violation sets that involve at least one of the ``anchors``.
 
     Used for *incremental* repair: when a consistent database receives a
@@ -770,10 +796,7 @@ def find_violations_involving(
             )
             for constraint in constraints
         ]
-    results: list[ViolationSet] = []
-    for violations in per_constraint:
-        results.extend(violations)
-    return tuple(results)
+    return concat_violations(per_constraint)
 
 
 def _detect_anchored_parallel(
@@ -843,12 +866,12 @@ def is_consistent(
                 resolved = "kernel" if kernel_available() else "interpreted"
         if resolved == "kernel":
             try:
-                _used, count = kernel_witnesses(instance, constraint)
+                join = kernel_witnesses(instance, constraint)
             except KernelError:
                 if engine == "kernel":
                     raise
             else:
-                if count:
+                if join.size:
                     return False
                 continue
         for _ in _satisfying_assignments(instance, constraint):

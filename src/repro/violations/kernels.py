@@ -16,9 +16,12 @@ of :mod:`repro.model.columnar` instead:
   :func:`repro.constraints.plan.order_atoms`, measured on the actual
   post-filter candidate counts.
 
-The kernels return exactly the witness sets the interpreted enumeration
-yields (same assignments, same counts), so downstream minimality
-reduction and ordering produce byte-identical ``I(D, ic)``.
+The kernels return the final join state (:class:`KernelJoin`: per atom
+its snapshot and row array) holding exactly the assignments the
+interpreted enumeration yields.  No tuple set is built here: the
+detector ranks the rows and sorts the witnesses as arrays
+(:func:`repro.violations.detector._kernel_violations`), which gives the
+``I(D, ic)`` of the interpreted frozenset path, byte for byte.
 
 Data shapes without a vectorized form (an order comparison over a column
 holding non-integers, an offset over non-numeric data) raise
@@ -28,7 +31,7 @@ catches it and falls back to the interpreted path per constraint.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.constraints.atoms import Comparator
 from repro.constraints.denial import DenialConstraint
@@ -257,16 +260,21 @@ def _expand_ranges(np, lo, counts, order):
 
 
 def _sort_join(np, left_key, right_key):
-    """All (left, right) index pairs with equal keys (array sort join)."""
+    """Match ranges of an array sort join: ``(lo, counts, order)``.
+
+    Left row ``i`` matches the right positions ``order[lo[i]:lo[i] +
+    counts[i]]`` (all equal keys); :func:`_expand_ranges` turns the ranges
+    into pairs.
+    """
     order = np.argsort(right_key, kind="stable")
     sorted_right = right_key[order]
     lo = np.searchsorted(sorted_right, left_key, side="left")
     hi = np.searchsorted(sorted_right, left_key, side="right")
-    return _expand_ranges(np, lo, hi - lo, order)
+    return lo, hi - lo, order
 
 
 def _interval_join(np, thresholds, new_values, comparator, bound_on_left):
-    """Sorted-interval join for one order comparison.
+    """Sorted-interval join for one order comparison: ``(lo, counts, order)``.
 
     ``thresholds`` are the bound side's values with the offset already
     folded in; ``new_values`` is the new atom's (int64) column over its
@@ -291,10 +299,8 @@ def _interval_join(np, thresholds, new_values, comparator, bound_on_left):
         )
     split = np.searchsorted(sorted_new, thresholds, side=side)
     if suffix:
-        lo, counts = split, n - split
-    else:
-        lo, counts = np.zeros(len(split), dtype=np.int64), split
-    return _expand_ranges(np, lo, counts, order)
+        return split, n - split, order
+    return np.zeros(len(split), dtype=np.int64), split, order
 
 
 def _compare_arrays(np, left, comparator: Comparator, right, offset: int):
@@ -422,20 +428,60 @@ def _apply_residuals(
     return left_idx[mask], right_rows[mask]
 
 
+def too_many_witnesses(constraint: DenialConstraint, limit: int) -> ConstraintError:
+    """The ``max_violations`` safety-valve error, shared by every engine."""
+    return ConstraintError(
+        f"{constraint.label}: more than {limit} violation "
+        "witnesses; refusing to enumerate further"
+    )
+
+
+class KernelJoin(NamedTuple):
+    """The final join state of one kernel run: the satisfying assignments.
+
+    Atom ``i`` of the denial ranges over ``snapshots[i]`` (its relation's
+    columnar snapshot); assignment ``j`` binds it to row ``rows[i][j]``.
+    No tuple object is touched: the detector ranks the rows and builds the
+    violation-set slot matrix straight from these arrays.
+    """
+
+    snapshots: tuple[ColumnarRelation, ...]
+    rows: tuple[Any, ...]
+
+    @property
+    def size(self) -> int:
+        """Number of satisfying assignments (what the valve counts)."""
+        return len(self.rows[0]) if self.rows else 0
+
+    def used_sets(self) -> set[frozenset[Tuple]]:
+        """The distinct used tuple sets, for the frozenset funnel."""
+        columns = []
+        for snapshot, rows in zip(self.snapshots, self.rows):
+            atom_tuples = snapshot.tuples
+            columns.append([atom_tuples[row] for row in rows.tolist()])
+        return set(map(frozenset, zip(*columns)))
+
+
 def kernel_witnesses(
     instance: DatabaseInstance,
     constraint: DenialConstraint,
     restrict: "dict[int, list[Tuple]] | None" = None,
     forced_first: int | None = None,
-) -> tuple[set[frozenset[Tuple]], int]:
-    """All violation witnesses of one denial, columnar execution.
+    max_violations: int | None = None,
+) -> KernelJoin:
+    """All satisfying assignments of one denial, columnar execution.
 
-    Returns ``(used_sets, n_assignments)``: the distinct used tuple sets
-    and the total number of satisfying assignments (the quantity the
-    ``max_violations`` safety valve counts).  ``restrict`` overrides the
-    candidate pool of specific atom positions exactly like the
-    interpreted ``_satisfying_assignments``; ``forced_first`` pins the
-    join order's first atom (anchored detection).
+    Returns the final :class:`KernelJoin`; its ``size`` is the number of
+    satisfying assignments.  ``restrict`` overrides the candidate pool of
+    specific atom positions exactly like the interpreted
+    ``_satisfying_assignments``; ``forced_first`` pins the join order's
+    first atom (anchored detection).
+
+    ``max_violations`` is the safety valve: more satisfying assignments
+    raise :class:`~repro.exceptions.ConstraintError`.  The last join step
+    counts its matches before expanding them when no residual comparison
+    can drop any, so an accidentally cartesian constraint is refused
+    without materializing its pairs.
     """
     np = require_numpy()
     constraint.validate(instance.schema)
@@ -458,13 +504,21 @@ def kernel_witnesses(
                     ),
                 )
             )
+    empty = KernelJoin(
+        tuple(snapshots),
+        tuple(np.empty(0, dtype=np.int64) for _ in snapshots),
+    )
+
+    def check(count: int) -> None:
+        if max_violations is not None and count > max_violations:
+            raise too_many_witnesses(constraint, max_violations)
 
     candidates = [
         _candidate_rows(snapshot, atom_plan)
         for snapshot, atom_plan in zip(snapshots, plan.atoms)
     ]
     if any(len(c) == 0 for c in candidates):
-        return set(), 0
+        return empty
 
     order = order_atoms(plan, [len(c) for c in candidates], forced_first)
     state = _JoinState(np, plan, snapshots)
@@ -486,7 +540,7 @@ def kernel_witnesses(
 
     for atom_index in order[1:]:
         if state.size == 0:
-            return set(), 0
+            return empty
         bound = set(state.join_order)
         snapshot = snapshots[atom_index]
         cand = candidates[atom_index]
@@ -535,7 +589,7 @@ def kernel_witnesses(
 
         if key_pairs:
             left_key, right_key = _combine_keys(np, key_pairs)
-            left_idx, right_pos = _sort_join(np, left_key, right_key)
+            lo, counts, positions = _sort_join(np, left_key, right_key)
         else:
             driver = next(
                 (
@@ -572,31 +626,29 @@ def kernel_witnesses(
                 else:
                     # N θ (B + c): threshold is B + c directly.
                     thresholds = _shift(np, bound_values, driver.offset)
-                left_idx, right_pos = _interval_join(
+                lo, counts, positions = _interval_join(
                     np, thresholds, new_values, driver.comparator, bound_on_left
                 )
             else:
-                left_idx = np.repeat(
-                    np.arange(state.size, dtype=np.int64), len(cand)
-                )
-                right_pos = np.tile(
-                    np.arange(len(cand), dtype=np.int64), state.size
-                )
+                # Cross product: every bound row meets every candidate.
+                lo = np.zeros(state.size, dtype=np.int64)
+                counts = np.full(state.size, len(cand), dtype=np.int64)
+                positions = np.arange(len(cand), dtype=np.int64)
+        if atom_index == order[-1] and not ready:
+            # The last step with nothing left to filter: its match count
+            # is the final assignment count.
+            check(int(counts.sum()))
+        left_idx, right_pos = _expand_ranges(np, lo, counts, positions)
         right_rows = cand[right_pos]
         left_idx, right_rows = _apply_residuals(
             np, state, plan, snapshot, atom_index, left_idx, right_rows, ready
         )
         state.extend(atom_index, left_idx, right_rows)
 
-    n_assignments = state.size
-    # Gather per-atom tuple columns first, then build the witness sets with
-    # map/zip so the per-assignment work stays in C.
-    tuple_columns = []
-    for i in range(plan.n_atoms):
-        atom_tuples = snapshots[i].tuples
-        tuple_columns.append([atom_tuples[row] for row in state.rows[i].tolist()])
-    used_sets: set[frozenset[Tuple]] = set(map(frozenset, zip(*tuple_columns)))
-    return used_sets, n_assignments
+    check(state.size)
+    return KernelJoin(
+        tuple(snapshots), tuple(state.rows[i] for i in range(plan.n_atoms))
+    )
 
 
 def anchored_kernel_witnesses(
@@ -620,11 +672,11 @@ def anchored_kernel_witnesses(
         ]
         if not relevant:
             continue
-        witnesses, _count = kernel_witnesses(
+        join = kernel_witnesses(
             instance,
             constraint,
             restrict={atom_index: relevant},
             forced_first=atom_index,
         )
-        used_sets |= witnesses
+        used_sets |= join.used_sets()
     return used_sets

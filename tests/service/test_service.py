@@ -66,6 +66,30 @@ class TestJobIdentity:
         instance.replace_tuple(Tuple(relation, tuple(values)))
         assert instance_digest(instance) != before
 
+    def test_instance_digest_builds_no_refs(self, make_clientbuy):
+        workload = make_clientbuy(40, seed=5)
+        instance = workload.instance
+        assert all(t._ref is None for t in instance.all_tuples())
+        instance_digest(instance)
+        assert all(t._ref is None for t in instance.all_tuples())
+
+    def test_instance_digest_ignores_insertion_order(self):
+        from repro.model.instance import DatabaseInstance
+        from repro.model.schema import Attribute, Relation, Schema
+
+        schema = Schema(
+            [Relation("R", [Attribute.hard("k"), Attribute.flexible("v")], key=["k"])]
+        )
+        # Mixed key types take the type-tagged order; ints alone the raw one.
+        for keys in ([3, 10, -2, 7], [3, "10", True, "a\x00b", 10**30]):
+            rows = [(key, index) for index, key in enumerate(keys)]
+            forward, backward = DatabaseInstance(schema), DatabaseInstance(schema)
+            for row in rows:
+                forward.insert_row("R", row)
+            for row in reversed(rows):
+                backward.insert_row("R", row)
+            assert instance_digest(forward) == instance_digest(backward)
+
     def test_job_ids_are_deterministic(self):
         first = job_id_for(3, "fp", "dt", {"algorithm": "greedy"})
         second = job_id_for(3, "fp", "dt", {"algorithm": "greedy"})

@@ -89,6 +89,33 @@ class TestEngineDispatch:
         assert str(interpreted_error.value) == str(kernel_error.value)
 
 
+    @pytest.mark.parametrize("engine", ["kernel", "auto"])
+    def test_max_violations_valve_trips_before_building_witnesses(self, engine):
+        # A cartesian self-join: 1,500 candidates on each side, ~2.25M
+        # assignments.  The valve must refuse it from the match count,
+        # before a single witness (or the expanded pair arrays) exists.
+        import time
+        import tracemalloc
+
+        workload = client_buy_workload(1_500, seed=0)
+        constraint = parse_denial(
+            "NOT(Client(x, a, c), Client(y, b, d), a < 200, b < 200)"
+        )
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(ConstraintError, match="more than 100 violation"):
+                find_violations(
+                    workload.instance, constraint, max_violations=100, engine=engine
+                )
+            elapsed = time.perf_counter() - started
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 50 * 1024 * 1024
+
+
 class TestOrderingFallback:
     def test_nul_in_key_values_falls_back_to_sort_key_order(self):
         # keys without a flat rendering exercise the slow ordering branch;
