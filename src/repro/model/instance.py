@@ -18,6 +18,15 @@ from repro.model.schema import Relation, Schema
 from repro.model.tuples import Tuple, TupleRef, _trusted_tuple
 
 
+#: ``Tuple.values`` read straight off the slot, for C-speed bulk passes.
+_values_of = attrgetter("_values")
+
+
+def _tagged_key(tup: Tuple) -> tuple[tuple[str, str], ...]:
+    """A key that orders mixed-type key values: each tagged with its type."""
+    return tuple((type(v).__name__, str(v)) for v in tup.key)
+
+
 def _rows_valid(relation: Relation, rows: list[tuple[Any, ...]]) -> bool:
     """True when every row would pass ``Tuple(relation, row)``.
 
@@ -157,6 +166,28 @@ class DatabaseInstance:
         """All tuples of one relation (insertion order)."""
         return tuple(self._table(relation_name).values())
 
+    def canonical_tuples(self, relation_name: str) -> list[Tuple]:
+        """All tuples of one relation in a content-determined key order.
+
+        Keys are unique, so any total order on them works.  When every key
+        position holds a single type, all ``int`` or all ``str``, raw key
+        order is used: the table's own key tuples are sorted - they equal
+        the tuples' keys and order like them - and no key is rebuilt.
+        Otherwise each key value is tagged with its type name (the
+        :attr:`~repro.model.tuples.TupleRef.sort_key` rendering) and the
+        tuples are sorted on that, ties kept in insertion order.  The type
+        test reads the tuples' own values, not the table keys: a
+        replacement may carry a key equal to its table key but of another
+        type (``True`` for ``1``).  No ``TupleRef`` is built.
+        """
+        table = self._table(relation_name)
+        rows = list(map(_values_of, table.values()))
+        for position in self._schema.relation(relation_name).key_positions:
+            types = set(map(type, map(itemgetter(position), rows)))
+            if len(types) > 1 or not types <= {int, str}:
+                return sorted(table.values(), key=_tagged_key)
+        return [table[key] for key in sorted(table)]
+
     def all_tuples(self) -> Iterator[Tuple]:
         """Iterate over every tuple of every relation."""
         for table in self._tables.values():
@@ -180,7 +211,7 @@ class DatabaseInstance:
         if table is None:
             return False
         stored = table.get(tup.key)
-        return stored == tup
+        return stored is tup or stored == tup
 
     def contains_key(self, relation_name: str, key: tuple[Any, ...]) -> bool:
         """True when the relation holds a tuple with the given key."""

@@ -9,7 +9,8 @@ original instance and all of its repairs (the paper's ``t̄(k̄, R, D)``).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from operator import attrgetter
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.exceptions import InstanceError
 from repro.model.schema import Relation
@@ -27,7 +28,7 @@ class Tuple:
     (the paper's domain for ``F`` is ℤ).
     """
 
-    __slots__ = ("_relation", "_values", "_hash", "_ref")
+    __slots__ = ("_relation", "_values", "_hash", "_ref", "_row")
 
     def __init__(self, relation: Relation, values: tuple[Any, ...] | list[Any]) -> None:
         values = tuple(values)
@@ -46,6 +47,7 @@ class Tuple:
         self._values = values
         self._hash = hash((relation.name, values))
         self._ref: TupleRef | None = None
+        self._row: bytes | None = None
 
     # -- accessors ----------------------------------------------------------
 
@@ -81,6 +83,20 @@ class Tuple:
         if ref is None:
             ref = self._ref = TupleRef(self._relation.name, self.key)
         return ref
+
+    @property
+    def row_bytes(self) -> bytes:
+        """The canonical bytes of the row, ``repr(values)`` in UTF-8.
+
+        Content digests (:func:`repro.service.jobs.instance_digest`, the
+        artifact cache's violations digest) hash these.  Encoded on first
+        use and cached: instance copies share their tuples, so an edited
+        copy re-encodes only the rows it replaced.
+        """
+        row = self._row
+        if row is None:
+            row = self._row = repr(self._values).encode("utf-8")
+        return row
 
     def as_dict(self) -> dict[str, Any]:
         """Mapping of attribute name -> value."""
@@ -138,6 +154,25 @@ class Tuple:
 
     # -- protocol -----------------------------------------------------------
 
+    def __getstate__(self) -> tuple:
+        # The default slot state minus the row-bytes cache: a pickled tuple
+        # (process-pool payloads and results) is the same size whether or
+        # not its row was ever digested.
+        return (
+            None,
+            {
+                "_relation": self._relation,
+                "_values": self._values,
+                "_hash": self._hash,
+                "_ref": self._ref,
+            },
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._row = None
+
     def __iter__(self) -> Iterator[Any]:
         return iter(self._values)
 
@@ -175,7 +210,27 @@ def _trusted_tuple(
     new._values = values
     new._hash = hash((relation.name, values))
     new._ref = ref
+    new._row = None
     return new
+
+
+_cached_row = attrgetter("_row")
+
+
+def joined_row_bytes(tuples: Sequence[Tuple]) -> bytes:
+    """The :attr:`Tuple.row_bytes` of ``tuples``, concatenated in order.
+
+    Encoded rows are read straight off their slots; only when some row
+    is not encoded yet does a second pass encode the missing ones (row
+    bytes are never empty, so a falsy slot is an unset one).
+    """
+    rows = list(map(_cached_row, tuples))
+    try:
+        return b"".join(rows)
+    except TypeError:  # some slots still hold None
+        return b"".join(
+            [row or tup.row_bytes for row, tup in zip(rows, tuples)]
+        )
 
 
 class TupleRef:

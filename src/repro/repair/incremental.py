@@ -147,7 +147,10 @@ class IncrementalRepairer:
                 )
                 cover = self._solve(problem.setcover)
                 self._instance = apply_cover(problem, cover).repaired
-        self._staged: list[Tuple] = []
+        # Staged tuples by (relation, key), in staging order: every staged
+        # tuple is its key's current tuple, so an update replaces (and moves
+        # to the end) and a delete drops exactly one entry, in O(1).
+        self._staged: dict[tuple[str, tuple[Any, ...]], Tuple] = {}
         # Persistent join indexes keep anchored detection sublinear across
         # commits; built lazily on the (now consistent) working instance.
         self._join_indexes = JoinIndexCache(self._instance)
@@ -158,14 +161,14 @@ class IncrementalRepairer:
         """Stage a new tuple (applied to the working instance immediately)."""
         tup = self._instance.insert_row(relation_name, tuple(row))
         self._join_indexes.notify_insert(tup)
-        self._staged.append(tup)
+        self._staged[relation_name, tup.key] = tup
         return tup
 
     def insert_tuple(self, tup: Tuple) -> None:
         """Stage an already-built tuple."""
         self._instance.insert(tup)
         self._join_indexes.notify_insert(tup)
-        self._staged.append(tup)
+        self._staged[tup.relation.name, tup.key] = tup
 
     def update(
         self,
@@ -179,21 +182,22 @@ class IncrementalRepairer:
         new = old.replace(changes, **kwargs)
         self._instance.replace_tuple(new)
         self._join_indexes.notify_replace(old, new)
-        self._staged = [t for t in self._staged if t is not old and t != old]
-        self._staged.append(new)
+        staged_key = (relation_name, old.key)
+        self._staged.pop(staged_key, None)
+        self._staged[staged_key] = new
         return new
 
     def delete(self, relation_name: str, key: tuple[Any, ...]) -> Tuple:
         """Remove a tuple; deletions cannot create denial violations."""
         removed = self._instance.delete(relation_name, key)
         self._join_indexes.notify_remove(removed)
-        self._staged = [t for t in self._staged if t != removed]
+        self._staged.pop((relation_name, removed.key), None)
         return removed
 
     @property
     def pending(self) -> tuple[Tuple, ...]:
         """Tuples staged since the last commit."""
-        return tuple(self._staged)
+        return tuple(self._staged.values())
 
     @property
     def instance(self) -> DatabaseInstance:
@@ -232,13 +236,13 @@ class IncrementalRepairer:
                 violations = find_violations_involving(
                     self._instance,
                     self._active_constraints,
-                    self._staged,
+                    tuple(self._staged.values()),
                     raw_indexes=self._join_indexes,
                     executor=self._executor if self._policy.is_parallel else None,
                     engine=self._engine,
                 )
                 detect_span.tag(violations=len(violations))
-            self._staged = []
+            self._staged = {}
             if not violations:
                 commit_span.tag(consistent=True)
                 result = RepairResult(

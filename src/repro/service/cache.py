@@ -2,7 +2,7 @@
 
 Every job recomputes the same expensive derived artifacts: the compiled
 :class:`~repro.plan.program.CompiledProgram` and its lint report depend
-only on ``(schema, constraints)`` - exactly what the PR-8 plan-cache
+only on ``(schema, constraints)`` - exactly what the plan-cache
 fingerprint (:func:`repro.plan.program.program_fingerprint`) covers -
 and the detected violation list, join indexes and columnar snapshots
 additionally depend on the *data*, identified here by a content token
@@ -18,7 +18,13 @@ Integrity: each entry stores a SHA-256 digest of its value's canonical
 form at insertion time and re-derives it on every hit.  A mismatch - a
 *poisoned* artifact, injected by the fault harness or caused by real
 corruption - raises :class:`~repro.exceptions.PoisonedArtifactError`
-(and evicts the entry) instead of ever serving the bad value.  Kinds
+(and evicts the entry) instead of ever serving the bad value.  Plans
+and lint reports digest their canonical JSON.  Violations digest by
+form: a :class:`~repro.violations.columns.ViolationColumns` view from
+its slot form (constraint names and texts, block bounds, member
+relation names and cached row bytes, the slot matrix's dtype, shape
+and bytes), so neither the put nor the check on a hit builds a single
+``ViolationSet``; a plain sequence from ``repr(tuple(value))``.  Kinds
 whose values have no canonical form (live join indexes, columnar
 stores) carry no digest and skip the check, but still honour explicit
 :meth:`ArtifactCache.poison` marks.
@@ -39,7 +45,9 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import PoisonedArtifactError
+from repro.model.tuples import joined_row_bytes
 from repro.obs.metrics import NULL_METRICS
+from repro.violations.columns import ViolationColumns
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.obs.metrics import MetricsRegistry
@@ -67,10 +75,34 @@ def default_digest(kind: str, value: Any) -> str | None:
     elif kind == LINT:
         payload = json.dumps(value.to_dict(), sort_keys=True)
     elif kind == VIOLATIONS:
+        if isinstance(value, ViolationColumns):
+            return _columns_digest(value)
         payload = repr(tuple(value))
     else:
         return None
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _columns_digest(view: ViolationColumns) -> str:
+    """The digest of a violations view, read off its slot form.
+
+    It covers what the view's sets are built from - each constraint's
+    name and canonical text, the block bounds, each member's relation
+    name and row bytes, the slot matrix's dtype, shape and bytes - and
+    builds none of those sets.
+    """
+    slots = view.slots
+    header = (
+        [(constraint.name, str(constraint)) for constraint in view.constraints],
+        view.bounds,
+        [tup.relation.name for tup in view.tuples],
+        slots.dtype.str,
+        slots.shape,
+    )
+    hasher = hashlib.sha256(repr(header).encode("utf-8"))
+    hasher.update(joined_row_bytes(view.tuples))
+    hasher.update(slots.tobytes())
+    return hasher.hexdigest()
 
 
 class _Entry:

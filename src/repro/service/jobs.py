@@ -24,15 +24,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.model.instance import DatabaseInstance
+from repro.model.tuples import joined_row_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.constraints.denial import DenialConstraint
-    from repro.model.schema import Relation
-    from repro.model.tuples import Tuple
     from repro.obs.spans import Trace
     from repro.repair.result import RepairResult
 
@@ -60,14 +58,19 @@ _DIGEST_MEMO_ATTR = "_service_digest_memo"
 def instance_digest(instance: DatabaseInstance) -> str:
     """A content digest of an instance - the cache's *data-version* token.
 
-    SHA-256 over every relation's name and rows in deterministic key
-    order (:func:`_key_ordered`; no ``TupleRef`` is built).  Two instances with equal content - regardless of insertion
-    order or object identity - share the digest, so repeat jobs over the
-    same data hit the same :class:`~repro.service.cache.ArtifactCache`
-    slots.
+    SHA-256 over every relation's name and the
+    :attr:`~repro.model.tuples.Tuple.row_bytes` of its rows in a
+    content-determined key order
+    (:meth:`~repro.model.instance.DatabaseInstance.canonical_tuples`;
+    no ``TupleRef`` is built).  Two instances with
+    equal content - regardless of insertion order or object identity -
+    share the digest, so repeat jobs over the same data hit the same
+    :class:`~repro.service.cache.ArtifactCache` slots.
 
-    The full pass is O(|D|), which would tax every ``submit`` of a
-    long-lived instance - so the digest is memoized per instance object
+    Each tuple encodes its row once and keeps the bytes, and instance
+    copies share their tuples: a copy with a few edited rows re-encodes
+    just those, and the rest of the pass is a C-speed sort of the key
+    tuples and a join.  The digest is also memoized per instance object
     against its per-relation :meth:`~DatabaseInstance.data_version`
     counters and recomputed only after a mutation.
     """
@@ -80,30 +83,11 @@ def instance_digest(instance: DatabaseInstance) -> str:
     hasher = hashlib.sha256()
     for relation in instance.schema:
         hasher.update(relation.name.encode("utf-8"))
-        for tup in _key_ordered(relation, instance.tuples(relation.name)):
-            hasher.update(repr(tup.values).encode("utf-8"))
+        hasher.update(joined_row_bytes(instance.canonical_tuples(relation.name)))
         hasher.update(b"\x00")
     digest = hasher.hexdigest()
     setattr(instance, _DIGEST_MEMO_ATTR, (versions, digest))
     return digest
-
-
-def _key_ordered(relation: "Relation", table: "tuple[Tuple, ...]") -> "list[Tuple]":
-    """A relation's tuples in a content-determined key order, no refs built.
-
-    Keys are unique, so any total order on them works.  When every key
-    position holds a single type, all ``int`` or all ``str``, the raw key
-    tuples compare directly; otherwise each value is tagged with its type
-    name (the :attr:`~repro.model.tuples.TupleRef.sort_key` rendering).
-    """
-    for position in relation.key_positions:
-        types = {type(tup.values[position]) for tup in table}
-        if len(types) > 1 or not types <= {int, str}:
-            return sorted(
-                table,
-                key=lambda t: tuple((type(v).__name__, str(v)) for v in t.key),
-            )
-    return sorted(table, key=attrgetter("key"))
 
 
 def job_id_for(

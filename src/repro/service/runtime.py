@@ -553,7 +553,10 @@ class RepairService:
 def _violations_valid(instance: DatabaseInstance, violations) -> bool:
     """Defensive reuse check: every cached violation tuple must still
     exist (content-equal) in this instance; otherwise treat as a miss.
-    A :class:`~repro.violations.columns.ViolationColumns` lists its
+
+    Each member is looked up by key in its relation's table, so the
+    check costs O(members), not O(|D|).  A
+    :class:`~repro.violations.columns.ViolationColumns` lists its
     distinct members, so the check builds no violation set."""
     from repro.violations.columns import ViolationColumns
 
@@ -562,18 +565,7 @@ def _violations_valid(instance: DatabaseInstance, violations) -> bool:
         if isinstance(violations, ViolationColumns)
         else (tup for violation in violations for tup in violation)
     )
-    tables: "dict[str, set]" = {}
-    for tup in members:
-        name = tup.relation.name
-        table = tables.get(name)
-        if table is None:
-            try:
-                table = tables[name] = set(instance.tuples(name))
-            except Exception:
-                return False
-        if tup not in table:
-            return False
-    return True
+    return all(tup in instance for tup in members)
 
 
 # ---------------------------------------------------------------------------

@@ -184,3 +184,68 @@ class TestAnchoredDetection:
             )
             == ()
         )
+
+
+class TestStagingOrder:
+    """``pending`` keeps the staging order of the list it replaced."""
+
+    @staticmethod
+    def _ops():
+        from hypothesis import strategies as st
+
+        client_id = st.integers(0, 14)
+        return st.lists(
+            st.one_of(
+                st.tuples(st.just("insert-client"), client_id, st.integers(0, 90)),
+                st.tuples(st.just("insert-buy"), client_id, st.integers(0, 2)),
+                st.tuples(st.just("update"), st.integers(0, 40), st.integers(0, 90)),
+                st.tuples(st.just("delete"), st.integers(0, 40), st.just(0)),
+                st.tuples(st.just("commit"), st.just(0), st.just(0)),
+            ),
+            max_size=30,
+        )
+
+    def test_pending_matches_list_staging(self, make_clientbuy):
+        from hypothesis import given, settings
+
+        from repro.exceptions import KeyViolationError
+
+        workload = make_clientbuy(10, inconsistency_ratio=0.0, seed=4)
+
+        @settings(max_examples=60, deadline=None)
+        @given(self._ops())
+        def run(ops):
+            repairer = IncrementalRepairer(workload.instance, workload.constraints)
+            staged: list = []  # the list staging, as an oracle
+            for op, first, second in ops:
+                current = repairer.instance
+                if op == "insert-client":
+                    try:
+                        staged.append(repairer.insert("Client", (first, 40, second)))
+                    except KeyViolationError:
+                        pass
+                elif op == "insert-buy":
+                    try:
+                        staged.append(repairer.insert("Buy", (first, second, 10)))
+                    except KeyViolationError:
+                        pass
+                elif op == "commit":
+                    repairer.commit()
+                    staged = []
+                else:
+                    everything = [t for t in current.all_tuples()]
+                    if not everything:
+                        continue
+                    old = everything[first % len(everything)]
+                    name = old.relation.name
+                    if op == "update":
+                        attribute = "c" if name == "Client" else "p"
+                        new = repairer.update(name, old.key, {attribute: second})
+                        staged = [t for t in staged if t is not old and t != old]
+                        staged.append(new)
+                    else:
+                        removed = repairer.delete(name, old.key)
+                        staged = [t for t in staged if t != removed]
+                assert repairer.pending == tuple(staged)
+
+        run()

@@ -128,6 +128,145 @@ class TestIntegrity:
         assert cache.get(VIOLATIONS, "fp", "d1") == violations
 
 
+@pytest.fixture
+def columns(small_clientbuy):
+    """A kernel-built violations view (NumPy required)."""
+    pytest.importorskip("numpy")
+    from repro.violations.columns import ViolationColumns
+
+    violations = find_all_violations(
+        small_clientbuy.instance, small_clientbuy.constraints, engine="kernel"
+    )
+    assert isinstance(violations, ViolationColumns) and len(violations) > 1
+    return violations
+
+
+@pytest.fixture
+def count_violation_sets(monkeypatch):
+    """A live count of ``ViolationSet`` constructions."""
+    from repro.violations.columns import ViolationSet
+
+    built = [0]
+    original = ViolationSet.__init__
+
+    def spy(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ViolationSet, "__init__", spy)
+    return built
+
+
+class TestColumnarViolations:
+    """A ``ViolationColumns`` value is digested from its slot form."""
+
+    def test_put_and_get_build_no_violation_sets(
+        self, cache, columns, count_violation_sets
+    ):
+        cache.put(VIOLATIONS, "fp", columns, "d1")
+        for _ in range(3):
+            assert cache.get(VIOLATIONS, "fp", "d1") is columns
+        assert count_violation_sets[0] == 0
+
+    def test_service_jobs_build_no_violation_sets(
+        self, make_clientbuy, count_violation_sets
+    ):
+        pytest.importorskip("numpy")
+        from repro.service import SUCCEEDED, JobRequest, run_jobs
+
+        workload = make_clientbuy(2000)
+        request = JobRequest(workload.instance, tuple(workload.constraints))
+        views, service = run_jobs([request] * 3, workers=1)
+        assert all(view.status == SUCCEEDED for view in views)
+        assert service.cache.stats()["hits"] >= 4
+        assert count_violation_sets[0] == 0
+
+    def test_digest_is_stable_and_content_bound(self, columns, small_clientbuy):
+        from repro.service.cache import default_digest
+
+        again = find_all_violations(
+            small_clientbuy.instance, small_clientbuy.constraints, engine="kernel"
+        )
+        assert default_digest(VIOLATIONS, columns) == default_digest(VIOLATIONS, again)
+        plain = tuple(columns)
+        assert default_digest(VIOLATIONS, plain) == default_digest(
+            VIOLATIONS, tuple(again)
+        )
+
+    def _assert_refused(self, cache, columns, corrupt):
+        cache.put(VIOLATIONS, "fp", columns, "d1")
+        corrupt(columns)
+        with pytest.raises(PoisonedArtifactError) as excinfo:
+            cache.get(VIOLATIONS, "fp", "d1")
+        assert excinfo.value.kind == VIOLATIONS
+        assert cache.get(VIOLATIONS, "fp", "d1") is None  # evicted
+
+    def test_flipped_slot_refused(self, cache, columns):
+        def flip(view):
+            row = view.slots[0]
+            row[0] = (row[0] + 1) % len(view.tuples)
+
+        self._assert_refused(cache, columns, flip)
+
+    def test_swapped_member_refused(self, cache, columns):
+        def swap(view):
+            members = list(view.tuples)
+            victim = members[0]
+            flexible = next(
+                a.name for a in victim.relation.attributes if a.is_flexible
+            )
+            members[0] = victim.replace({flexible: victim[flexible] + 1})
+            view.tuples = tuple(members)
+
+        self._assert_refused(cache, columns, swap)
+
+    def test_swapped_constraint_refused(self, cache, columns, small_clientbuy):
+        def swap(view):
+            others = [c for c in small_clientbuy.constraints if c != view.constraints[0]]
+            view.constraints = (others[0],) + view.constraints[1:]
+
+        self._assert_refused(cache, columns, swap)
+
+    def test_renamed_constraint_refused(self, cache, columns):
+        from repro.constraints.denial import DenialConstraint
+
+        def rename(view):
+            first = view.constraints[0]
+            renamed = DenialConstraint(
+                first.relation_atoms,
+                first.builtins,
+                first.variable_comparisons,
+                name=first.name + "-other",
+            )
+            view.constraints = (renamed,) + view.constraints[1:]
+
+        self._assert_refused(cache, columns, rename)
+
+    def test_same_name_other_text_refused(self, cache, columns, small_clientbuy):
+        from repro.constraints.denial import DenialConstraint
+
+        def retext(view):
+            first = view.constraints[0]
+            other = next(c for c in small_clientbuy.constraints if c != first)
+            impostor = DenialConstraint(
+                other.relation_atoms,
+                other.builtins,
+                other.variable_comparisons,
+                name=first.name,
+            )
+            view.constraints = (impostor,) + view.constraints[1:]
+
+        self._assert_refused(cache, columns, retext)
+
+    def test_changed_bounds_refused(self, cache, columns):
+        def shift(view):
+            bounds = list(view.bounds)
+            bounds[1] += 1 if bounds[1] < bounds[-1] else -1
+            view.bounds = tuple(bounds)
+
+        self._assert_refused(cache, columns, shift)
+
+
 class TestThreadSafety:
     def test_concurrent_put_get_respects_bound(self):
         cache = ArtifactCache(max_entries=8, metrics=MetricsRegistry())

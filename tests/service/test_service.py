@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import os
+from functools import partial
 
 import pytest
 
@@ -25,6 +27,13 @@ from repro.service import (
     instance_digest,
     job_id_for,
     run_jobs,
+)
+from repro.workloads import (
+    census_workload,
+    client_buy_workload,
+    finance_workload,
+    random_detection_workload,
+    tpch_like_workload,
 )
 
 
@@ -101,6 +110,234 @@ class TestJobIdentity:
         views_a, _ = run_jobs([request_for(workload)] * 2, workers=1)
         views_b, _ = run_jobs([request_for(workload)] * 2, workers=1)
         assert [v.id for v in views_a] == [v.id for v in views_b]
+
+
+def _reference_digest(instance) -> str:
+    """The token as first defined: every relation's tuples sorted by their
+    rebuilt keys and each row passed through ``repr`` again - the oracle the cached-row
+    digest must match byte for byte."""
+    import hashlib
+
+    hasher = hashlib.sha256()
+    for relation in instance.schema:
+        hasher.update(relation.name.encode("utf-8"))
+        table = instance.tuples(relation.name)
+        ordered = None
+        for position in relation.key_positions:
+            types = {type(tup.values[position]) for tup in table}
+            if len(types) > 1 or not types <= {int, str}:
+                ordered = sorted(
+                    table,
+                    key=lambda t: tuple((type(v).__name__, str(v)) for v in t.key),
+                )
+                break
+        if ordered is None:
+            ordered = sorted(table, key=lambda t: t.key)
+        for tup in ordered:
+            hasher.update(repr(tup.values).encode("utf-8"))
+        hasher.update(b"\x00")
+    return hasher.hexdigest()
+
+
+def _keyed_schema():
+    from repro.model.schema import Attribute, Relation, Schema
+
+    return Schema(
+        [
+            Relation("R", [Attribute.hard("k"), Attribute.flexible("v")], key=["k"]),
+            Relation(
+                "S",
+                [Attribute.hard("a"), Attribute.hard("b"), Attribute.flexible("v")],
+                key=["a", "b"],
+            ),
+            Relation("Empty", [Attribute.hard("k"), Attribute.flexible("v")], key=["k"]),
+        ]
+    )
+
+
+#: Key values of every kind the token must order exactly as before.
+_KEY_VALUES = (
+    0, 1, 2, -7, 10**30, -(2**70), True, False, 0.5, 1.0, -0.0, float("inf"),
+    "", "a", "b\x00c", "\x00", "10", "ü",
+)
+
+
+def _equal_key_of_another_type(value):
+    """``value`` as an equal key of another type, cycling int -> bool ->
+    float -> int where that keeps it equal; other values unchanged."""
+    if type(value) is int and value in (0, 1):
+        return bool(value)
+    if type(value) is bool:
+        return float(value)
+    if type(value) is float and value.is_integer():
+        return int(value)
+    return value
+
+
+class TestDigestOracle:
+    """The cached-row token equals the rebuilt-key token, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            partial(client_buy_workload, 60, seed=2),
+            partial(census_workload, 30, seed=2),
+            partial(tpch_like_workload, 0.05, seed=2),
+            partial(finance_workload, 40, seed=2),
+            partial(random_detection_workload, 2),
+        ],
+        ids=["clientbuy", "census", "tpch", "finance", "random"],
+    )
+    def test_generators(self, build):
+        instance = build().instance
+        assert instance_digest(instance) == _reference_digest(instance)
+        copy = instance.copy()
+        victim = copy.tuples(next(iter(copy.schema)).name)[0]
+        flexible = next(a.name for a in victim.relation.attributes if a.is_flexible)
+        copy.replace_tuple(victim.replace({flexible: victim[flexible] + 1}))
+        assert instance_digest(copy) == _reference_digest(copy)
+        assert instance_digest(copy) != instance_digest(instance)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [3, 10, -2, 7],
+            [10**30, -(2**70), 5],
+            ["b", "a\x00", "a", "\x00"],
+            [3, "10", True, "a\x00b", 10**30],
+            [0.5, 2.0, -1.5],
+            [1, 2.5],
+        ],
+        ids=["int", "bigint", "nul-str", "mixed", "float", "int-float"],
+    )
+    def test_key_kinds(self, keys):
+        from repro.model.instance import DatabaseInstance
+
+        rows = [(key, index) for index, key in enumerate(keys)]
+        instance = DatabaseInstance.from_rows(_keyed_schema(), {"R": rows})
+        assert instance_digest(instance) == _reference_digest(instance)
+
+    def test_replacement_key_of_another_type(self):
+        """A replacement keyed ``True`` under table key ``1`` orders by the
+        tuple's own key types, as the rebuilt-key token did."""
+        from repro.model.instance import DatabaseInstance
+        from repro.model.tuples import Tuple
+
+        schema = _keyed_schema()
+        instance = DatabaseInstance.from_rows(schema, {"R": [(1, 0), (2, 1), (0, 2)]})
+        before = instance_digest(instance)
+        instance.replace_tuple(Tuple(schema.relation("R"), (True, 0)))
+        assert instance_digest(instance) == _reference_digest(instance)
+        assert instance_digest(instance) != before
+
+    def test_mutation_sequences(self):
+        from hypothesis import given, settings, strategies as st
+
+        from repro.exceptions import KeyViolationError
+        from repro.model.instance import DatabaseInstance
+        from repro.model.tuples import Tuple
+
+        schema = _keyed_schema()
+        key = st.sampled_from(_KEY_VALUES)
+        ops = st.lists(
+            st.one_of(
+                st.tuples(st.just("insert-r"), key, key, st.integers(-9, 9)),
+                st.tuples(st.just("insert-s"), key, key, st.integers(-9, 9)),
+                st.tuples(st.just("replace"), st.integers(0, 30), key, st.integers(-9, 9)),
+                st.tuples(st.just("swap-key"), st.integers(0, 30), key, st.integers(-9, 9)),
+                st.tuples(st.just("delete"), st.integers(0, 30), key, st.just(0)),
+                st.tuples(st.just("copy"), key, key, st.just(0)),
+            ),
+            max_size=25,
+        )
+
+        @settings(max_examples=150, deadline=None)
+        @given(ops)
+        def run(ops):
+            instance = DatabaseInstance(schema)
+            for op, first, second, value in ops:
+                tuples = list(instance.all_tuples())
+                try:
+                    if op == "insert-r":
+                        instance.insert_row("R", (first, value))
+                    elif op == "insert-s":
+                        instance.insert_row("S", (first, second, value))
+                    elif op == "copy":
+                        instance = instance.copy()
+                    elif tuples:
+                        old = tuples[first % len(tuples)]
+                        if op == "replace":
+                            instance.replace_tuple(old.replace(v=value))
+                        elif op == "swap-key":
+                            # An equal key of another type, when there is one.
+                            values = list(old.values)
+                            values[0] = _equal_key_of_another_type(values[0])
+                            instance.replace_tuple(Tuple(old.relation, values))
+                        else:
+                            instance.delete(old.relation.name, old.key)
+                except KeyViolationError:
+                    pass
+                assert instance_digest(instance) == _reference_digest(instance)
+
+        run()
+
+    def test_token_independent_of_hash_seed(self):
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.service import instance_digest\n"
+            "from repro.workloads import client_buy_workload, tpch_like_workload\n"
+            "print(instance_digest(client_buy_workload(80, seed=1).instance))\n"
+            "print(instance_digest(tpch_like_workload(0.05, seed=1).instance))\n"
+        )
+        outputs = set()
+        for seed in ("0", "4242"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+        local = instance_digest(client_buy_workload(80, seed=1).instance)
+        assert outputs.pop().splitlines()[0] == local
+
+
+class TestDigestCost:
+    def test_warm_edited_copy_encodes_only_edited_rows(self, make_tpch, monkeypatch):
+        from repro.model.tuples import Tuple
+
+        base = make_tpch().instance
+        copy = base.copy()  # made before the base is first digested
+        instance_digest(base)
+        edited = [copy.tuples("Lineitem")[index] for index in (0, 5, 9)]
+        for tup in edited:
+            copy.replace_tuple(tup.replace(quantity=tup["quantity"] + 1))
+        encoded = []
+        original = Tuple.row_bytes
+
+        def spy(tup):
+            encoded.append(tup)
+            return original.fget(tup)
+
+        monkeypatch.setattr(Tuple, "row_bytes", property(spy))
+        assert instance_digest(copy) == _reference_digest(copy)
+        assert sorted(t.key for t in encoded) == sorted(t.key for t in edited)
+
+    def test_cached_row_bytes_stay_out_of_pickles(self, make_tpch):
+        import pickle
+
+        instance = make_tpch().instance
+        tuples = list(instance.all_tuples())
+        before = pickle.dumps(tuples)
+        token = instance_digest(instance)
+        assert all(t._row is not None for t in tuples)
+        assert pickle.dumps(tuples) == before
+        clone = pickle.loads(pickle.dumps(instance))
+        assert all(t._row is None for t in clone.all_tuples())
+        setattr(clone, "_service_digest_memo", None)
+        assert instance_digest(clone) == token
 
 
 class TestLifecycle:
