@@ -11,9 +11,14 @@ module owns the column store those kernels read:
   fallback that preserves exact Python equality semantics;
 * :class:`ColumnarStore` - a per-instance cache of snapshots keyed by the
   instance's :meth:`~repro.model.instance.DatabaseInstance.data_version`
-  counters, so a snapshot is rebuilt exactly when its relation mutated
+  counters, so a snapshot is replaced exactly when its relation mutated
   (the columnar analogue of
-  :class:`repro.violations.indexes.JoinIndexCache` maintenance).
+  :class:`repro.violations.indexes.JoinIndexCache` maintenance).  A copy
+  derives its snapshot from its source's
+  (:meth:`~repro.model.instance.DatabaseInstance.replaced_rows`): shared
+  when untouched, patched in the replaced rows otherwise, and built from
+  the tuples only when rows were inserted or deleted or there is no
+  source snapshot.
 
 NumPy is an *optional* dependency (the ``repro[kernel]`` extra): importing
 this module works without it, but building a snapshot raises
@@ -24,7 +29,8 @@ engine treats as "stay on the interpreted path".
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Any, Iterable
+from operator import attrgetter, is_, itemgetter
+from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import KernelError
 from repro.model.instance import DatabaseInstance
@@ -38,6 +44,10 @@ try:  # NumPy is optional; see module docstring.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via kernel_available()
     _np = None
+
+
+#: ``Tuple.values`` read straight off the slot, for C-speed column scans.
+_values_of = attrgetter("_values")
 
 
 def kernel_available() -> bool:
@@ -83,7 +93,8 @@ class ColumnarRelation:
     value array of one attribute position and :meth:`numeric` the int64
     fast-path array (``None`` when any value is not a Python int or the
     column overflows int64).  Arrays are built lazily per position and
-    cached for the snapshot's lifetime.
+    cached for the snapshot's lifetime; no array is written after it is
+    cached, so :meth:`patched` snapshots may share them.
     """
 
     __slots__ = (
@@ -135,16 +146,70 @@ class ColumnarRelation:
         return self._numeric[position] if self._exact[position] else None
 
     def _scan(self, position: int) -> None:
-        values = [tup.values[position] for tup in self.tuples]
+        values = list(map(itemgetter(position), map(_values_of, self.tuples)))
         types = set(map(type, values))
         array = None
         if all(issubclass(kind, int) for kind in types):
             try:
-                array = _np.array(values, dtype=_np.int64)
+                array = _np.fromiter(values, _np.int64, count=len(values))
             except (OverflowError, ValueError):
                 array = None
-        self._numeric[position] = array
+        # ``_exact`` first: a reader that finds the position in
+        # ``_numeric`` (another thread, or :meth:`patched`) reads both.
         self._exact[position] = array is not None and types <= {int}
+        self._numeric[position] = array
+
+    def patched(
+        self, tuples: tuple[Tuple, ...], rows: list[int]
+    ) -> "ColumnarRelation":
+        """The snapshot of ``tuples``: this one with ``rows`` replaced.
+
+        ``tuples`` has this snapshot's length and holds this snapshot's
+        tuple objects except at the indices in ``rows``.  A cached array
+        is shared when no replaced row changes its position, and copied
+        and patched otherwise.  A patched int64 array is kept only when
+        the column was exact and every new value is an exact ``int``
+        within int64; otherwise the position is dropped and rescanned on
+        demand, so a ``True`` replacing ``1`` leaves the exact path as a
+        cold build would.  Row lookup (:meth:`row_of`) is rebuilt lazily.
+        The caches are read through copies of their items: other threads
+        may fill this snapshot's positions meanwhile.
+        """
+        derived = ColumnarRelation(self.relation_name, tuples)
+        old = list(map(_values_of, map(self.tuples.__getitem__, rows)))
+        new = list(map(_values_of, map(tuples.__getitem__, rows)))
+        index = _np.array(rows, dtype=_np.intp)
+
+        def replaced(position: int) -> "list[Any] | None":
+            values = list(map(itemgetter(position), new))
+            if all(map(is_, values, map(itemgetter(position), old))):
+                return None
+            return values
+
+        for position, array in tuple(self._columns.items()):
+            values = replaced(position)
+            if values is not None:
+                array = array.copy()
+                for row, value in zip(rows, values):
+                    array[row] = value
+            derived._columns[position] = array
+        exact = dict(tuple(self._exact.items()))
+        for position, array in tuple(self._numeric.items()):
+            values = replaced(position)
+            if values is not None:
+                if not exact.get(position) or set(map(type, values)) != {int}:
+                    continue
+                try:
+                    patch = _np.fromiter(values, _np.int64, count=len(values))
+                except OverflowError:
+                    continue
+                array = array.copy()
+                array[index] = patch
+            elif position not in exact:
+                continue
+            derived._exact[position] = exact[position]
+            derived._numeric[position] = array
+        return derived
 
     def ref_order(self, rows: "numpy.ndarray") -> "numpy.ndarray":
         """``rows`` (distinct row indices) permuted into canonical ref order.
@@ -181,10 +246,8 @@ class ColumnarStore:
     The store does *not* hold the instance (see :func:`store_for`'s
     lifetime note); callers pass it to :meth:`relation`, which compares
     the instance's per-relation ``data_version`` against the version the
-    cached snapshot was built at and rebuilds on mismatch.  The
-    ``notify_*`` methods mirror ``JoinIndexCache``'s maintenance hooks
-    for callers that mutate tables behind the instance's back: they drop
-    the affected snapshot so the next access rebuilds.
+    cached snapshot was taken at and replaces it on mismatch - derived
+    from the instance's copy source when it can be, built otherwise.
     """
 
     def __init__(self) -> None:
@@ -193,63 +256,80 @@ class ColumnarStore:
     def relation(
         self, instance: DatabaseInstance, relation_name: str
     ) -> ColumnarRelation:
-        """Current snapshot of one relation (rebuilt iff it mutated).
+        """Current snapshot of one relation (replaced iff it mutated).
 
         Hit/miss rates land in the ``columnar_cache_hits`` /
-        ``columnar_cache_misses`` counters of an active tracer - the
-        signal for "are kernel runs amortizing their snapshot builds".
+        ``columnar_cache_misses{kind=derived|built}`` counters of an
+        active tracer - the signal for "are kernel runs amortizing their
+        snapshot builds".
         """
         version = instance.data_version(relation_name)
-        cached = self._snapshots.get(relation_name)
-        metrics = current_tracer().metrics
-        if cached is not None and cached[0] == version:
-            metrics.counter("columnar_cache_hits", relation=relation_name).inc()
-            return cached[1]
-        metrics.counter("columnar_cache_misses", relation=relation_name).inc()
-        snapshot = ColumnarRelation(relation_name, instance.tuples(relation_name))
-        self._snapshots[relation_name] = (version, snapshot)
+        snapshot = self.snapshot_at(relation_name, version)
+        if snapshot is not None:
+            current_tracer().metrics.counter(
+                "columnar_cache_hits", relation=relation_name
+            ).inc()
+            return snapshot
+        snapshot = self.derive(instance, relation_name)
+        if snapshot is None:
+            snapshot = ColumnarRelation(relation_name, instance.tuples(relation_name))
+            self._put(instance, relation_name, snapshot, "built")
         return snapshot
 
-    # -- explicit invalidation hooks (JoinIndexCache parity) -----------------
+    def derive(
+        self, instance: DatabaseInstance, relation_name: str
+    ) -> ColumnarRelation | None:
+        """Derive and cache one relation's snapshot from its copy source's.
 
-    def invalidate(self, relation_name: str | None = None) -> None:
-        """Drop one relation's snapshot, or all of them."""
-        if relation_name is None:
-            self._snapshots.clear()
-        else:
-            self._snapshots.pop(relation_name, None)
-
-    def notify_insert(self, tup: Tuple) -> None:
-        """Invalidate after an out-of-band insertion."""
-        self.invalidate(tup.relation.name)
-
-    def notify_remove(self, tup: Tuple) -> None:
-        """Invalidate after an out-of-band deletion."""
-        self.invalidate(tup.relation.name)
-
-    def notify_replace(self, old: Tuple, new: Tuple) -> None:
-        """Invalidate after an out-of-band in-place update."""
-        self.invalidate(old.relation.name)
-        self.invalidate(new.relation.name)
-
-    def rekey(
-        self, instance: DatabaseInstance, drop: Iterable[str] = ()
-    ) -> None:
-        """Re-stamp cached snapshots with ``instance``'s version counters.
-
-        Used when warm snapshots are carried over to a *content-identical*
-        successor instance whose version counters restarted (instance
-        copies reset them): relations named in ``drop`` lose their
-        snapshot, every other cached snapshot is re-keyed to the new
-        instance's current version so the next access is a hit.  Callers
-        own the content-identity precondition.
+        The source must be alive, unchanged since the copy, and hold a
+        snapshot at that version
+        (:meth:`~repro.model.instance.DatabaseInstance.copy_source`); the
+        relation must hold the source's rows in the same order, some
+        replaced
+        (:meth:`~repro.model.instance.DatabaseInstance.replaced_rows`).
+        With no row replaced the source's snapshot itself is shared.
+        Returns ``None``, caching nothing, when it cannot be derived.
         """
-        for relation_name in drop:
-            self._snapshots.pop(relation_name, None)
-        for relation_name, (_version, snapshot) in list(self._snapshots.items()):
-            self._snapshots[relation_name] = (
-                instance.data_version(relation_name), snapshot
-            )
+        lineage = instance.copy_source(relation_name)
+        if lineage is None:
+            return None
+        source, version = lineage
+        entry = _STORES.get(id(source))
+        if entry is None or entry[0]() is not source:
+            return None
+        snapshot = entry[1].snapshot_at(relation_name, version)
+        if snapshot is None:
+            return None
+        rows = instance.replaced_rows(relation_name)
+        if rows is None:
+            return None
+        if rows:
+            snapshot = snapshot.patched(instance.tuples(relation_name), rows)
+        self._put(instance, relation_name, snapshot, "derived")
+        return snapshot
+
+    def _put(
+        self,
+        instance: DatabaseInstance,
+        relation_name: str,
+        snapshot: ColumnarRelation,
+        kind: str,
+    ) -> None:
+        current_tracer().metrics.counter(
+            "columnar_cache_misses", relation=relation_name, kind=kind
+        ).inc()
+        self._snapshots[relation_name] = (
+            instance.data_version(relation_name), snapshot
+        )
+
+    def snapshot_at(
+        self, relation_name: str, version: int
+    ) -> ColumnarRelation | None:
+        """The cached snapshot of one relation if taken at ``version``."""
+        cached = self._snapshots.get(relation_name)
+        if cached is None or cached[0] != version:
+            return None
+        return cached[1]
 
     @property
     def cached_relations(self) -> tuple[str, ...]:
@@ -284,41 +364,15 @@ def store_for(instance: DatabaseInstance) -> ColumnarStore:
     return store
 
 
-def transfer_store(
-    old_instance: DatabaseInstance,
-    new_instance: DatabaseInstance,
-    changed_relations: Iterable[str] = (),
-) -> ColumnarStore:
-    """Carry one instance's warm snapshots over to its successor.
+def derive_snapshots(instance: DatabaseInstance) -> None:
+    """Take now every snapshot ``instance`` can derive from its source.
 
-    The incremental repairer historically swapped instance objects when
-    applying a repair, which made every kernel snapshot die with the old
-    object even though only the repaired relations actually changed.
-    This re-homes the old instance's store under the new object, drops
-    the snapshots of ``changed_relations``, and re-keys the surviving
-    ones to the new instance's version counters (an instance copy resets
-    them, so raw version comparison across the swap would be
-    meaningless).  Precondition: the two instances agree on every
-    relation *not* named in ``changed_relations``.
-
-    Returns the (possibly empty) store now serving ``new_instance``.
+    A copy derives lazily on first use, but only while its source lives;
+    a caller about to drop the source (the incremental repairer swapping
+    in a repaired copy) derives the warm snapshots eagerly instead.
     """
-    if old_instance is new_instance:
-        store = store_for(new_instance)
-        store.rekey(new_instance, drop=changed_relations)
-        return store
-    key = id(old_instance)
-    entry = _STORES.pop(key, None)
-    if entry is None or entry[0]() is not old_instance:
-        return store_for(new_instance)
-    store = entry[1]
-    store.rekey(new_instance, drop=changed_relations)
-    new_key = id(new_instance)
-    try:
-        ref = weakref.ref(
-            new_instance, lambda _ref, _key=new_key: _STORES.pop(_key, None)
-        )
-    except TypeError:  # pragma: no cover - DatabaseInstance is weakref-able
-        return store
-    _STORES[new_key] = (ref, store)
-    return store
+    store = store_for(instance)
+    for relation in instance.schema:
+        name = relation.name
+        if store.snapshot_at(name, instance.data_version(name)) is None:
+            store.derive(instance, name)

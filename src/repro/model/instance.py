@@ -9,8 +9,10 @@ handled by the repair algorithms.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
-from operator import attrgetter, itemgetter
+from itertools import compress, count
+from operator import attrgetter, is_, is_not, itemgetter
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.exceptions import InstanceError, KeyViolationError
@@ -66,6 +68,17 @@ class DatabaseInstance:
         # caches on these, so any insert/replace/delete invalidates exactly
         # the relation it touched.
         self._versions: dict[str, int] = {r.name: 0 for r in schema}
+        # A copy's source (weakly) and the source's data versions at copy
+        # time: derived views are patched from the source's instead of
+        # rebuilt while the source lives unchanged (see :meth:`replaced_rows`).
+        self._lineage: (
+            tuple["weakref.ref[DatabaseInstance]", dict[str, int]] | None
+        ) = None
+        # Per-relation canonical key order: (data version, per-key-position
+        # type or None for the type-tagged order, keys in order).
+        self._orders: dict[
+            str, tuple[int, tuple[type, ...] | None, list[tuple[Any, ...]]]
+        ] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -179,14 +192,69 @@ class DatabaseInstance:
         test reads the tuples' own values, not the table keys: a
         replacement may carry a key equal to its table key but of another
         type (``True`` for ``1``).  No ``TupleRef`` is built.
+
+        The order is cached per data version.  A copy whose relation only
+        had rows replaced since (:meth:`replaced_rows`) has its source's
+        key set, so it reuses the source's cached raw order after testing
+        the key types of the replaced rows alone.
         """
         table = self._table(relation_name)
+        version = self._versions[relation_name]
+        cached = self._orders.get(relation_name)
+        if cached is None or cached[0] != version:
+            cached = (version, *self._canonical_order(relation_name))
+            self._orders[relation_name] = cached
+        return list(map(table.__getitem__, cached[2]))
+
+    def _canonical_order(
+        self, relation_name: str
+    ) -> tuple[tuple[type, ...] | None, list[tuple[Any, ...]]]:
+        """``(key types, keys)`` of :meth:`canonical_tuples`' order.
+
+        ``key types`` holds each key position's one type when the raw key
+        order applies, and is ``None`` for the type-tagged order.
+        """
+        inherited = self._inherited_order(relation_name)
+        if inherited is not None:
+            return inherited
+        table = self._tables[relation_name]
         rows = list(map(_values_of, table.values()))
+        types = []
         for position in self._schema.relation(relation_name).key_positions:
-            types = set(map(type, map(itemgetter(position), rows)))
-            if len(types) > 1 or not types <= {int, str}:
-                return sorted(table.values(), key=_tagged_key)
-        return [table[key] for key in sorted(table)]
+            kinds = set(map(type, map(itemgetter(position), rows)))
+            if len(kinds) > 1 or not kinds <= {int, str}:
+                ordered = sorted(table.items(), key=lambda item: _tagged_key(item[1]))
+                return None, list(map(itemgetter(0), ordered))
+            types.append(next(iter(kinds), None))
+        return tuple(types), sorted(table)
+
+    def _inherited_order(
+        self, relation_name: str
+    ) -> tuple[tuple[type, ...], list[tuple[Any, ...]]] | None:
+        """The copy source's cached raw key order, if it holds here.
+
+        It does when the relation only had rows replaced since the copy
+        (so its key set is the source's) and every replaced row's key
+        values have the key types the source's order was taken for.
+        """
+        lineage = self.copy_source(relation_name)
+        if lineage is None:
+            return None
+        source, version = lineage
+        cached = source._orders.get(relation_name)
+        if cached is None or cached[0] != version or cached[1] is None:
+            return None
+        rows = self.replaced_rows(relation_name)
+        if rows is None:
+            return None
+        tuples = list(self._tables[relation_name].values())
+        positions = self._schema.relation(relation_name).key_positions
+        for row in rows:
+            values = _values_of(tuples[row])
+            for position, kind in zip(positions, cached[1]):
+                if type(values[position]) is not kind:
+                    return None
+        return cached[1], cached[2]
 
     def all_tuples(self) -> Iterator[Tuple]:
         """Iterate over every tuple of every relation."""
@@ -229,6 +297,46 @@ class DatabaseInstance:
     def key_values(self, relation_name: str) -> set[tuple[Any, ...]]:
         """The set ``val(K_R)`` of key-value tuples of a relation."""
         return set(self._table(relation_name))
+
+    def copy_source(
+        self, relation_name: str
+    ) -> "tuple[DatabaseInstance, int] | None":
+        """The instance this one was copied from, while it is unchanged.
+
+        Returns ``(source, version)`` when this instance is a
+        :meth:`copy` whose source is alive and holds the relation at the
+        data version ``version`` it had at copy time, else ``None``.
+        """
+        if self._lineage is None:
+            return None
+        ref, versions = self._lineage
+        source = ref()
+        version = versions.get(relation_name)
+        if source is None or source._versions.get(relation_name) != version:
+            return None
+        return source, version
+
+    def replaced_rows(self, relation_name: str) -> list[int] | None:
+        """Rows of one relation replaced since the copy from its source.
+
+        Returns the indices of the rows whose tuple objects differ from
+        the :meth:`copy_source`'s, when the relation holds the source's
+        rows in the same order otherwise.  Returns ``None`` when there is
+        no copy source or rows were inserted or deleted.  The same key
+        objects in the same order (a C-speed identity test) prove the row
+        order: a replacement keeps its table key object, an insertion or
+        deletion changes the length or a key.
+        """
+        lineage = self.copy_source(relation_name)
+        if lineage is None:
+            return None
+        if self._versions[relation_name] == 0:
+            return []
+        mine = self._tables[relation_name]
+        theirs = lineage[0]._tables[relation_name]
+        if len(mine) != len(theirs) or not all(map(is_, mine, theirs)):
+            return None
+        return list(compress(count(), map(is_not, mine.values(), theirs.values())))
 
     def data_version(self, relation_name: str) -> int:
         """Mutation counter of one relation.
@@ -308,25 +416,39 @@ class DatabaseInstance:
 
         The copy is a fresh object: it does not inherit a pushdown
         backend binding (see :mod:`repro.violations.pushdown`) - copies
-        are about to diverge from the backend-resident image.
+        are about to diverge from the backend-resident image.  It records
+        its lineage instead: a weak reference to this instance and its
+        current data versions, from which :meth:`replaced_rows` tells
+        derived views what changed.  No journal is kept, and the copy
+        never keeps this instance alive.
         """
         clone = DatabaseInstance(self._schema)
         for name, table in self._tables.items():
             clone._tables[name] = dict(table)
+        clone._lineage = (weakref.ref(self), dict(self._versions))
         return clone
 
     def __getstate__(self) -> dict[str, Any]:
-        """Pickle without the pushdown backend binding.
+        """Pickle without the pushdown backend binding or derived state.
 
         The binding (:mod:`repro.violations.pushdown`) holds a weak
         reference to a live database connection; neither survives a trip
         into a process-pool worker, so the unpickled instance is simply
         not backend-resident there and detection falls back to the
-        in-memory engines.
+        in-memory engines.  The lineage (a weak reference) and the cached
+        canonical orders stay behind too, so the payload holds the
+        content alone.
         """
         state = self.__dict__.copy()
         state.pop("_pushdown_binding", None)
+        state.pop("_lineage", None)
+        state.pop("_orders", None)
         return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lineage = None
+        self._orders = {}
 
     # -- comparison ----------------------------------------------------------
 

@@ -34,7 +34,7 @@ from repro.constraints.denial import DenialConstraint
 from repro.constraints.locality import check_local_set
 from repro.exceptions import RepairError
 from repro.fixes.distance import CITY_DISTANCE, DistanceMetric, get_metric
-from repro.model.columnar import transfer_store
+from repro.model.columnar import derive_snapshots
 from repro.model.instance import DatabaseInstance
 from repro.model.tuples import Tuple
 from repro.obs import Tracer, as_tracer, normalize_solver_stats
@@ -294,24 +294,21 @@ class IncrementalRepairer:
     def _apply(self, problem, cover, snapshot: bool):
         """Apply one round's cover and keep the warm caches consistent.
 
-        The snapshot path preserves the historical copy-on-apply swap
-        (and carries the warm columnar store across it via
-        :func:`repro.model.columnar.transfer_store`); the streaming path
-        mutates the working instance in place, and the columnar store
-        invalidates itself through the bumped data versions.  Either way
-        the join indexes are maintained from the tuples the bulk write
-        replaced.
+        The snapshot path preserves the historical copy-on-apply swap: the
+        repaired copy derives its columnar snapshots from the working
+        instance's (:func:`repro.model.columnar.derive_snapshots`) before
+        that instance is dropped, patching only the replaced rows.  The
+        streaming path mutates the working instance in place, and the
+        columnar store refreshes through the bumped data versions.
+        Either way the join indexes are maintained from the tuples the
+        bulk write replaced.
         """
         repaired, changes, distance, replaced = apply_cover(
             problem, cover, in_place=not snapshot
         )
         self._join_indexes.notify_replacements(replaced)
         if snapshot:
-            transfer_store(
-                self._instance,
-                repaired,
-                {change.ref.relation_name for change in changes},
-            )
+            derive_snapshots(repaired)
             self._instance = repaired
             self._join_indexes.rebind(self._instance)
         return repaired, changes, distance

@@ -44,8 +44,14 @@ class Backend(Protocol):
         self,
         schema: Schema,
         constraints: Iterable[DenialConstraint],
+        instance: DatabaseInstance | None = None,
     ) -> tuple[ViolationSet, ...]:
-        """Compute ``I(D, IC)`` using the backend's query engine."""
+        """Compute ``I(D, IC)`` using the backend's query engine.
+
+        ``instance`` is this backend's :meth:`load_instance` result,
+        unmodified since, when the caller already holds one: witnesses
+        resolve against it instead of a fresh load.
+        """
         ...
 
     def export_repair(

@@ -102,9 +102,12 @@ class CsvBackend:
         self,
         schema: Schema,
         constraints: Iterable[DenialConstraint],
+        instance: DatabaseInstance | None = None,
     ) -> tuple[ViolationSet, ...]:
         """In-memory detection over the loaded files."""
-        return find_all_violations(self.load_instance(schema), constraints)
+        if instance is None:
+            instance = self.load_instance(schema)
+        return find_all_violations(instance, constraints)
 
     def export_repair(
         self,

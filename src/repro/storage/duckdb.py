@@ -257,9 +257,11 @@ class DuckDBBackend:
         self,
         schema: Schema,
         constraints: Iterable[DenialConstraint],
+        instance: DatabaseInstance | None = None,
     ) -> tuple[ViolationSet, ...]:
         """Run the Algorithm-2 SQL and assemble minimal violation sets."""
-        instance = self.load_instance(schema)
+        if instance is None:
+            instance = self.load_instance(schema)
         results: list[ViolationSet] = []
         cursor = self._cursor()
         for constraint in constraints:

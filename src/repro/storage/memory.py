@@ -46,9 +46,12 @@ class MemoryBackend:
         self,
         schema: Schema,
         constraints: Iterable[DenialConstraint],
+        instance: DatabaseInstance | None = None,
     ) -> tuple[ViolationSet, ...]:
         """In-memory join-based violation detection."""
-        return find_all_violations(self.load_instance(schema), constraints)
+        if instance is None:
+            instance = self.load_instance(schema)
+        return find_all_violations(instance, constraints)
 
     def export_repair(
         self,

@@ -185,6 +185,7 @@ class SqliteBackend:
         self,
         schema: Schema,
         constraints: Iterable[DenialConstraint],
+        instance: DatabaseInstance | None = None,
     ) -> tuple[ViolationSet, ...]:
         """Run the Algorithm-2 SQL views and assemble minimal violation sets.
 
@@ -193,7 +194,8 @@ class SqliteBackend:
         funnel through the detector's shared minimality+ordering reduction
         - the same path the in-memory engines take.
         """
-        instance = self.load_instance(schema)
+        if instance is None:
+            instance = self.load_instance(schema)
         results: list[ViolationSet] = []
         cursor = self._cursor()
         for constraint in constraints:

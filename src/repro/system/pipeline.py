@@ -159,7 +159,7 @@ class RepairProgram:
         violations = None
         if self.config.violation_detection == "sql":
             violations = self.backend.find_violations(
-                self.config.schema, self.config.constraints
+                self.config.schema, self.config.constraints, instance
             )
         policy = self.config.execution_policy
         result = repair_database(

@@ -289,3 +289,92 @@ class TestBulkFromRows:
             DatabaseInstance.from_rows(schema, rows)
         with pytest.raises(TypeError):
             DatabaseInstance.from_rows(schema, {"Buy": [(3, [], 4)]})
+
+
+def _reference_canonical(instance, relation_name):
+    """The canonical order recomputed from scratch, ignoring any cache."""
+    table = instance.tuples(relation_name)
+    for position in instance.schema.relation(relation_name).key_positions:
+        types = {type(tup.values[position]) for tup in table}
+        if len(types) > 1 or not types <= {int, str}:
+            return sorted(
+                table, key=lambda t: tuple((type(v).__name__, str(v)) for v in t.key)
+            )
+    return sorted(table, key=lambda t: t.key)
+
+
+class TestCanonicalOrderLineage:
+    def test_replaced_copy_reuses_source_order(self, instance, schema):
+        instance.canonical_tuples("Buy")
+        copy = instance.copy()
+        copy.replace_tuple(Tuple(schema.relation("Buy"), (1, 0, 99)))
+        assert copy.canonical_tuples("Buy") == _reference_canonical(copy, "Buy")
+        assert copy._orders["Buy"][2] is instance._orders["Buy"][2]
+
+    def test_key_of_another_type_recomputes(self, instance, schema):
+        instance.canonical_tuples("Client")
+        copy = instance.copy()
+        copy.replace_tuple(Tuple(schema.relation("Client"), (True, 20)))
+        assert copy.canonical_tuples("Client") == _reference_canonical(copy, "Client")
+        assert copy._orders["Client"][1] is None      # the type-tagged order
+
+    def test_insert_or_dead_source_recomputes(self, instance, schema):
+        import gc
+
+        instance.canonical_tuples("Client")
+        copy = instance.copy()
+        copy.insert_row("Client", (0, 7))
+        assert copy.canonical_tuples("Client") == _reference_canonical(copy, "Client")
+        source = instance.copy()          # the fixture keeps ``instance``
+        source.canonical_tuples("Client")
+        orphan = source.copy()
+        orphan.replace_tuple(Tuple(schema.relation("Client"), (2, 3)))
+        del source
+        gc.collect()
+        assert orphan.copy_source("Client") is None
+        assert orphan.canonical_tuples("Client") == _reference_canonical(
+            orphan, "Client"
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["copy", "order", "replace", "swap-key", "insert", "delete"]
+                ),
+                st.integers(0, 30),
+                st.sampled_from([0, 1, 2, 5, True, False, 1.0, 2.5, "a", 10**30]),
+            ),
+            max_size=20,
+        )
+    )
+    def test_matches_recomputed_order(self, ops):
+        schema = Schema(
+            [Relation("R", [Attribute.hard("k"), Attribute.flexible("v")], key=["k"])]
+        )
+        instance = DatabaseInstance.from_rows(schema, {"R": [(3, 0), (1, 1), (4, 2)]})
+        relation = schema.relation("R")
+        sources = []
+        for op, index, value in ops:
+            tuples = instance.tuples("R")
+            old = tuples[index % len(tuples)] if tuples else None
+            try:
+                if op == "copy":
+                    sources.append(instance)
+                    instance = instance.copy()
+                elif op == "order":
+                    instance.canonical_tuples("R")
+                elif op == "insert":
+                    instance.insert_row("R", (value, index))
+                elif old is None:
+                    continue
+                elif op == "replace":
+                    instance.replace_tuple(old.replace(v=index))
+                elif op == "swap-key" and old.values[0] == value:
+                    instance.replace_tuple(Tuple(relation, (value, index)))
+                elif op == "delete":
+                    instance.delete("R", old.key)
+            except KeyViolationError:
+                pass
+            assert instance.canonical_tuples("R") == _reference_canonical(instance, "R")

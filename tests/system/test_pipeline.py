@@ -107,6 +107,29 @@ class TestSqlitePipeline:
                 == ()
             )
 
+    def test_sql_detection_loads_once(self, sqlite_config, monkeypatch):
+        loads = []
+        original = SqliteBackend.load_instance
+
+        def load_instance(self, schema):
+            loads.append(schema)
+            return original(self, schema)
+
+        monkeypatch.setattr(SqliteBackend, "load_instance", load_instance)
+        report = RepairProgram(sqlite_config).run(export=False)
+        assert report.result.verified and report.result.violations_before
+        assert len(loads) == 1
+
+    def test_sql_detection_on_loaded_instance_matches_fresh_load(
+        self, sqlite_config
+    ):
+        program = RepairProgram(sqlite_config)
+        instance = program.load()
+        args = (sqlite_config.schema, sqlite_config.constraints)
+        assert program.backend.find_violations(
+            *args, instance
+        ) == program.backend.find_violations(*args)
+
     def test_sql_and_memory_detection_agree(self, sqlite_config):
         program = RepairProgram(sqlite_config)
         instance = program.load()
