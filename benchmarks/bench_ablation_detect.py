@@ -8,10 +8,7 @@ times ``I(D, ic)`` retrieval per constraint arity - the 2-atom join
 ``ic1`` and the single-atom ``ic2`` of the Client/Buy workload - for
 
 * ``interpreted``     - the baseline enumerator,
-* ``kernel``          - the columnar plan executor, serial,
-* ``kernel+parallel`` - kernel workers fanned out per constraint on the
-  process pool (both constraints in one call; the time includes the
-  pool start and shipping the instance).
+* ``kernel``          - the columnar plan executor.
 
 Artifacts: ``BENCH_detect.json`` with per-engine mean seconds and the
 headline kernel-vs-interpreted speedup per size (EXPERIMENTS.md quotes
@@ -26,7 +23,7 @@ import time
 import pytest
 
 from repro.model.columnar import kernel_available, store_for
-from repro.violations.detector import find_all_violations, find_violations
+from repro.violations.detector import find_violations
 from repro.workloads import client_buy_workload
 
 from conftest import bench_sizes, quick_mode, record_bench_json, record_point
@@ -93,24 +90,6 @@ def test_kernel(benchmark, n_clients, ic_index):
     )
     assert result
     _record(constraint.name, "kernel", n_clients, benchmark.stats.stats.mean)
-
-
-@needs_kernel
-@pytest.mark.parametrize("n_clients", SIZES)
-def test_kernel_parallel(benchmark, n_clients):
-    """Both constraints in one call, kernel workers on the process pool."""
-    workload = _workload(n_clients)
-    benchmark.group = f"detect all n={n_clients}"
-    result = benchmark.pedantic(
-        lambda: find_all_violations(
-            workload.instance, workload.constraints, executor="process", engine="kernel"
-        ),
-        rounds=3,
-        iterations=1,
-        warmup_rounds=1,
-    )
-    assert result
-    _record("all", "kernel+parallel", n_clients, benchmark.stats.stats.mean)
 
 
 @needs_kernel

@@ -62,8 +62,7 @@ def cardinality_repair(
     table_weights: Mapping[str, float] | None = None,
     metric: str | DistanceMetric = CITY_DISTANCE,
     verify: bool = True,
-    parallel=None,
-    max_workers: int | None = None,
+    parallel: "bool | str | None" = None,
     engine: str = "auto",
     trace: "bool | Tracer" = False,
 ) -> DeletionRepairResult:
@@ -83,10 +82,10 @@ def cardinality_repair(
     table_weights:
         Per-relation deletion weights ``α_{δ_R}`` (default 1.0): deletions
         from lighter tables are preferred.
-    parallel, max_workers, engine:
+    parallel, engine:
         Forwarded to :func:`repro.repair.engine.repair_database` - the
-        transformed instance ``D#`` decomposes, fans out, and picks its
-        detection engine exactly like a direct attribute-update repair.
+        transformed instance ``D#`` decomposes and picks its detection
+        engine exactly like a direct attribute-update repair.
     trace:
         ``True`` records the whole run - a ``cardinality-repair`` root
         span with ``transform`` and ``project`` stages around the nested
@@ -120,7 +119,6 @@ def cardinality_repair(
             # bind hard attributes in delete mode); mixed mode keeps the check.
             check_locality=(mode == "mixed"),
             parallel=parallel,
-            max_workers=max_workers,
             engine=engine,
             # Pass the tracer object (not True): the inner repair nests
             # into this trace instead of starting its own.

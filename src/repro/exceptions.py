@@ -242,7 +242,7 @@ class ConfigError(ReproError):
 
 
 class RuntimeConfigError(ConfigError):
-    """Invalid parallel-execution policy (unknown backend, bad worker count)."""
+    """Invalid runtime option (unknown backend, bad worker or queue bound)."""
 
 
 class BackendError(ReproError):

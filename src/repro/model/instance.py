@@ -432,12 +432,11 @@ class DatabaseInstance:
         """Pickle without the pushdown backend binding or derived state.
 
         The binding (:mod:`repro.violations.pushdown`) holds a weak
-        reference to a live database connection; neither survives a trip
-        into a process-pool worker, so the unpickled instance is simply
-        not backend-resident there and detection falls back to the
-        in-memory engines.  The lineage (a weak reference) and the cached
-        canonical orders stay behind too, so the payload holds the
-        content alone.
+        reference to a live database connection, which cannot be pickled,
+        so the unpickled instance is simply not backend-resident and
+        detection falls back to the in-memory engines.  The lineage (a
+        weak reference) and the cached canonical orders stay behind too,
+        so the payload holds the content alone.
         """
         state = self.__dict__.copy()
         state.pop("_pushdown_binding", None)

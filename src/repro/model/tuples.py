@@ -156,8 +156,7 @@ class Tuple:
 
     def __getstate__(self) -> tuple:
         # The default slot state minus the row-bytes cache: a pickled tuple
-        # (process-pool payloads and results) is the same size whether or
-        # not its row was ever digested.
+        # is the same size whether or not its row was ever digested.
         return (
             None,
             {
@@ -251,7 +250,7 @@ class TupleRef:
 
     def __reduce__(self) -> tuple:
         # Rebuild from the public fields: the cache slots hold a process-local
-        # sentinel that must not travel through pickle (worker payloads).
+        # sentinel that must not travel through pickle.
         return (TupleRef, (self.relation_name, self.key_values))
 
     def __hash__(self) -> int:

@@ -7,8 +7,8 @@ makes those measurements first-class instead of ad-hoc timing dicts:
 
 * :mod:`repro.obs.spans` - :class:`Span` (nested, wall + CPU time,
   tags) and :class:`Trace` (the finished run);
-* :mod:`repro.obs.trace` - :class:`Tracer` (thread-safe collection,
-  process-worker merging) and the :func:`current_tracer` activation
+* :mod:`repro.obs.trace` - :class:`Tracer` (thread-safe collection)
+  and the :func:`current_tracer` activation
   protocol instrumented code uses;
 * :mod:`repro.obs.metrics` - :class:`Counter`/:class:`Gauge` registry
   (violations per constraint, MLF evaluations, cover sizes, columnar

@@ -9,7 +9,7 @@ Three output forms, one input (:class:`~repro.obs.spans.Trace`):
 * :func:`chrome_trace` - the Chrome trace-event format (open in
   ``chrome://tracing`` or https://ui.perfetto.dev): every span becomes a
   complete (``"ph": "X"``) event with microsecond ``ts``/``dur`` relative
-  to the trace epoch, worker-process spans appear as their own
+  to the trace epoch, spans of other threads appear as their own
   ``pid``/``tid`` rows, and the metric snapshot rides along in
   ``otherData``.  :func:`trace_from_chrome` reconstructs the span tree
   from the events (nesting by containment per pid/tid row), which is the

@@ -11,10 +11,7 @@ The registry gives the pipeline named, tag-labelled instruments:
 
 Each :class:`~repro.obs.trace.Tracer` owns a private
 :class:`MetricsRegistry`, so concurrent or consecutive traced runs never
-share state (registry isolation is part of the test contract).  Process
-pool workers snapshot their local registry and the parent merges it with
-:meth:`MetricsRegistry.merge_snapshot` - counters add, gauges keep the
-maximum (every gauge in the pipeline is a high-watermark).
+share state (registry isolation is part of the test contract).
 
 The disabled path uses the null instruments at the bottom of the module:
 :data:`NULL_METRICS` hands out a single shared no-op instrument, so
@@ -136,17 +133,6 @@ class MetricsRegistry:
             ],
         }
 
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a worker's snapshot in: counters add, gauges keep the max."""
-        for entry in snapshot.get("counters", ()):
-            self.counter(entry["name"], **entry.get("labels", {})).inc(
-                entry.get("value", 0)
-            )
-        for entry in snapshot.get("gauges", ()):
-            value = entry.get("value")
-            if value is not None:
-                self.gauge(entry["name"], **entry.get("labels", {})).set_max(value)
-
 
 # ---------------------------------------------------------------------------
 # disabled path
@@ -189,9 +175,6 @@ class NullMetrics:
 
     def snapshot(self) -> dict[str, Any]:
         return {"counters": [], "gauges": []}
-
-    def merge_snapshot(self, snapshot: Mapping[str, Any]) -> None:
-        pass
 
 
 _NULL_INSTRUMENT = _NullInstrument()

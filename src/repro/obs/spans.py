@@ -5,24 +5,23 @@ stage, one constraint's detection, one solver invocation.  Spans nest
 (``children``), carry free-form ``tags``, and record three clocks:
 
 * ``start`` - wall-clock epoch seconds (``time.time()``), comparable
-  across processes so spans recorded inside process-pool workers merge
-  into the parent's timeline;
+  across processes, so saved traces line up on one timeline;
 * ``duration`` - wall seconds measured with ``time.perf_counter()`` (the
   epoch clock is only used for placement, never for durations);
 * ``cpu`` - CPU seconds consumed on the recording thread
-  (``time.thread_time()``), which makes "waited on the pool" vs
-  "computed" visible per span.
+  (``time.thread_time()``), which makes "waited" vs "computed"
+  visible per span.
 
 Spans are plain data: picklable, and round-trippable through
-:meth:`Span.to_dict` / :meth:`Span.from_dict` - the wire format used both
-by the JSON exporter and by process-pool workers shipping their spans
-back to the parent (see :mod:`repro.runtime.workers`).
+:meth:`Span.to_dict` / :meth:`Span.from_dict` - the wire format of the
+JSON exporter.
 
 Closing a span clamps every child into the parent's ``[start, end]``
-window (:meth:`Span.close`): child spans merged from worker processes run
-on a slightly different epoch, and the clamp guarantees the exporter
-invariants - no negative durations, no child extending past its parent -
-that the Chrome trace-event viewer and the tree report rely on.
+window (:meth:`Span.close`): a span is placed on the epoch clock but
+timed with ``perf_counter``, so a child can land a hair outside its
+parent, and the clamp guarantees the exporter invariants - no negative
+durations, no child extending past its parent - that the Chrome
+trace-event viewer and the tree report rely on.
 
 A :class:`Trace` is the finished, immutable result of a traced run: the
 root spans plus a snapshot of the metric registry.
@@ -118,9 +117,9 @@ class Span:
     def clamp_children(self) -> None:
         """Force every (transitive) child inside this span's wall window.
 
-        Worker-process spans are placed on the shared epoch clock, whose
-        resolution and skew can put a child a hair outside the parent
-        that dispatched it.  Clamping keeps the invariants exporters and
+        Spans are placed on the epoch clock but timed with
+        ``perf_counter``; the two clocks can put a child a hair outside
+        its parent.  Clamping keeps the invariants exporters and
         the property tests rely on: ``child.start >= parent.start``,
         ``child.end <= parent.end``, ``duration >= 0``.
         """
@@ -178,8 +177,7 @@ class Span:
         return span
 
     def __reduce__(self):
-        # Pickle through the dict form: survives process-pool boundaries
-        # without carrying the private clock anchors.
+        # Pickle through the dict form, without the private clock anchors.
         return (Span.from_dict, (self.to_dict(),))
 
     def __repr__(self) -> str:

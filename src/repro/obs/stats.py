@@ -1,7 +1,7 @@
 """The ``solver_stats`` schema: the one place its keys and types live.
 
 ``RepairResult.solver_stats`` accumulates bookkeeping from three layers
-(the set-cover solver, the component decomposition, the runtime), and
+(the set-cover solver, the component decomposition, the engine), and
 historically each layer coerced values ad hoc - counts came back as
 ``float`` from the decomposition's merge loop while the engine stored
 others as ``int``.  :func:`normalize_solver_stats` applied at the
@@ -17,11 +17,6 @@ key                         type     meaning
 ``frequency``               int      max element frequency f (bound factor, max)
 ``components``              int      decomposition: connected components
 ``oversized_components``    int      components solved by the fallback
-``runtime_backend``         str      backend the solve stage dispatched to
-                                     (decomposed runs; ``serial`` = in-process)
-``runtime_workers``         int      resolved worker count
-``detect_workers``          int      workers used by the detect stage
-``solve_workers``           int      workers used by the solve stage
 ``detection_engine``        str      ``kernel`` / ``interpreted`` / ``pushdown``
 ``incidence``               int      CSR incidence size (nnz)
 ==========================  =======  =====================================
@@ -48,15 +43,12 @@ COUNT_KEYS = frozenset(
         "frequency",
         "components",
         "oversized_components",
-        "runtime_workers",
-        "detect_workers",
-        "solve_workers",
         "incidence",
     }
 )
 
 #: Keys whose values are labels and therefore ``str``.
-LABEL_KEYS = frozenset({"runtime_backend", "detection_engine"})
+LABEL_KEYS = frozenset({"detection_engine"})
 
 
 def normalize_solver_stats(stats: Mapping[str, Any]) -> dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Tracer: span lifecycle, thread-local activation, process-worker merging.
+"""Tracer: span lifecycle and thread-local activation.
 
 One :class:`Tracer` observes one traced run (a ``repair_database`` call,
 an :class:`~repro.repair.incremental.IncrementalRepairer` lifetime, a
@@ -27,15 +27,6 @@ Thread-local activation
     process-wide, which keeps plain single-run tracing working for
     ad-hoc helper threads; a span such a thread opens on an empty stack
     becomes a root.
-
-Process fan-in
-    Process-pool workers cannot see the parent's tracer.  The runtime
-    ships a ``trace`` flag with each work batch; the worker runs under a
-    fresh local tracer, exports it with :meth:`Tracer.export_remote`
-    (span dicts + metric snapshot, all picklable), and the parent folds
-    it back in with :meth:`Tracer.attach_remote` under the dispatching
-    thread's current span - spans are clamped into that stage span when
-    it closes, metrics merge (counters add, gauges max).
 """
 
 from __future__ import annotations
@@ -165,41 +156,6 @@ class Tracer:
         """Install as the process-global tracer for the ``with`` body."""
         return _Activation(self)
 
-    # -- process-worker fan-in ----------------------------------------------
-
-    def export_remote(self) -> dict[str, Any]:
-        """Picklable payload of everything this (worker) tracer recorded."""
-        with self._lock:
-            roots = list(self._roots)
-        return {
-            "pid": os.getpid(),
-            "spans": [root.to_dict() for root in roots],
-            "metrics": self.metrics.snapshot(),
-        }
-
-    def attach_remote(
-        self, payload: "Mapping[str, Any] | None", parent: Span | None = None
-    ) -> None:
-        """Fold a worker's :meth:`export_remote` payload into this tracer.
-
-        Spans attach under ``parent`` (default: the calling thread's
-        current span) and are clamped into its window when it
-        closes; metrics merge (counters add, gauges keep the max).
-        """
-        if not payload:
-            return
-        spans = [Span.from_dict(d) for d in payload.get("spans", ())]
-        if spans:
-            target = parent if parent is not None else self.current()
-            with self._lock:
-                if target is not None:
-                    target.children.extend(spans)
-                else:
-                    self._roots.extend(spans)
-        metrics = payload.get("metrics")
-        if metrics:
-            self.metrics.merge_snapshot(metrics)
-
     # -- finishing ----------------------------------------------------------
 
     def finish(self) -> Trace:
@@ -265,12 +221,6 @@ class NullTracer:
 
     def activate(self) -> _Activation:
         return _Activation(self)
-
-    def export_remote(self) -> dict[str, Any]:
-        return {"pid": os.getpid(), "spans": [], "metrics": NULL_METRICS.snapshot()}
-
-    def attach_remote(self, payload, parent=None) -> None:
-        pass
 
     def finish(self) -> Trace:
         return Trace(roots=(), metrics=NULL_METRICS.snapshot())

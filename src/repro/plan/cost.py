@@ -4,9 +4,7 @@ Ranks the detection engines for one constraint **before any data is
 loaded**, from three statically knowable signals:
 
 * **atom count** - each database atom joins a whole relation, so the
-  enumeration work grows with the join width (this is the same signal
-  :func:`repro.runtime.workers.detection_cost` uses for load
-  balancing);
+  enumeration work grows with the join width;
 * **join arity** - the number of join variables; every join variable
   adds an index probe per candidate row;
 * **selectivity class** - from the declared comparator kinds: equality

@@ -21,7 +21,7 @@ constraint order (:func:`~repro.violations.columns.concat_violations`).
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.constraints.denial import DenialConstraint
 from repro.exceptions import KernelError, PlanError, PushdownError
@@ -80,7 +80,6 @@ def planned_find_all_violations(
     constraints: Sequence[DenialConstraint],
     plan: CompiledProgram,
     max_violations: int | None = None,
-    executor: Any = None,
 ) -> Sequence[ViolationSet]:
     """``I(D, IC)`` driven by a compiled plan, in constraint order.
 
@@ -88,62 +87,13 @@ def planned_find_all_violations(
     ``(instance.schema, constraints)`` (:meth:`CompiledProgram.
     require_match`), so entries index the constraint list directly.
     Dead entries are skipped - their violation sets are provably empty.
-    The executor fan-out mirrors :func:`~repro.violations.detector.
-    find_all_violations`: one work item per executed constraint, serial
-    whenever any effective chain still leads with pushdown (the backend
-    connection is not shareable across workers).
     """
-    work = [
-        (constraints[entry.index], effective_chain(entry.engines, instance))
-        for entry in plan.executed_entries
-    ]
-    per_constraint = _planned_parallel(instance, work, max_violations, executor)
-    if per_constraint is None:
-        per_constraint = [
-            planned_find_violations(instance, constraint, chain, max_violations)
-            for constraint, chain in work
+    return concat_violations(
+        [
+            planned_find_violations(
+                instance, constraints[entry.index], entry.engines, max_violations
+            )
+            for entry in plan.executed_entries
         ]
-    return concat_violations(per_constraint)
+    )
 
-
-def _planned_parallel(
-    instance: DatabaseInstance,
-    work: "list[tuple[DenialConstraint, tuple[str, ...]]]",
-    max_violations: int | None,
-    executor: Any,
-) -> "list[Sequence[ViolationSet]] | None":
-    """Fan planned detection out per constraint; ``None`` = stay serial."""
-    if executor is None:
-        return None
-    if any(chain and chain[0] == "pushdown" for _, chain in work):
-        return None
-    from repro.runtime.executor import as_executor, balanced_chunks
-    from repro.runtime.workers import detect_planned_batch, detection_cost
-    from repro.violations.detector import _reintern_constraint
-
-    ex = as_executor(executor)
-    if not ex.is_parallel or len(work) <= 1:
-        return None
-    tracer = current_tracer()
-    costs = [detection_cost(constraint) for constraint, _ in work]
-    chunks = balanced_chunks(costs, ex.instance_batches(len(costs)))
-    payloads = [
-        (
-            instance,
-            [work[i] for i in chunk],
-            max_violations,
-            tracer.enabled,
-        )
-        for chunk in chunks
-    ]
-    results: "list[Sequence[ViolationSet] | None]" = [None] * len(work)
-    outcomes = ex.map(detect_planned_batch, payloads)
-    for chunk, outcome in zip(chunks, outcomes):
-        if tracer.enabled:
-            batch, remote = outcome
-            tracer.attach_remote(remote)
-        else:
-            batch = outcome
-        for index, violations in zip(chunk, batch):
-            results[index] = _reintern_constraint(violations, work[index][0])
-    return results  # type: ignore[return-value]

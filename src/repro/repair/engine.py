@@ -4,18 +4,14 @@
 MWSCP construction → approximate set cover → repair construction →
 (optional) verification that the result satisfies the constraints.
 
-The detection and solving stages optionally fan out over the
-:mod:`repro.runtime` executor: detection parallelizes per constraint,
-solving per connected component of the MWSCP instance (see
-:mod:`repro.setcover.decompose`).  Both stages are shared-nothing, so
-every backend — serial, process, auto — produces the identical repair.
+With ``parallel`` set, solving runs per connected component of the
+MWSCP instance (see :mod:`repro.setcover.decompose`), in-process like
+every other stage.
 
 With ``trace=True`` the run is recorded by the :mod:`repro.obs` layer:
 one ``repair`` root span with a stage span per Figure-1 box (``detect``,
 ``reduce``, ``solve``, ``apply``, ``verify``), per-constraint detection
-spans and per-solver spans nested inside — including spans recorded by
-process-pool workers, which the runtime merges back into the stage that
-dispatched them.  ``RepairResult.elapsed_seconds`` then
+spans and per-solver spans nested inside.  ``RepairResult.elapsed_seconds`` then
 becomes a thin view over the stage spans (same keys as the untraced
 dict, so no caller changes), and ``RepairResult.trace`` carries the full
 :class:`~repro.obs.spans.Trace`.  Tracing never alters the computation:
@@ -36,12 +32,12 @@ from repro.constraints.denial import DenialConstraint
 from repro.exceptions import RepairError
 from repro.fixes.distance import CITY_DISTANCE, DistanceMetric, get_metric
 from repro.model.instance import DatabaseInstance
+from repro.exceptions import RuntimeConfigError
 from repro.obs import Tracer, as_tracer, normalize_solver_stats
 from repro.repair.apply import apply_cover
 from repro.repair.builder import RepairProblem, build_repair_problem
 from repro.repair.result import RepairResult
-from repro.runtime.executor import ExecutionPolicy, Executor
-from repro.setcover.decompose import solve_by_components
+from repro.setcover.decompose import decomposes, solve_by_components
 from repro.setcover.solvers import DEFAULT_SOLVER, component_solver, get_solver
 from repro.violations.detector import ViolationSet, find_all_violations, is_consistent
 from repro.violations.kernels import resolve_engine
@@ -76,7 +72,7 @@ def repair_database(
     check_locality: bool = True,
     violations: Sequence[ViolationSet] | None = None,
     simplify: bool = False,
-    parallel: "bool | str | ExecutionPolicy | None" = None,
+    parallel: "bool | str | None" = None,
     max_workers: int | None = None,
     engine: str = "auto",
     preflight: bool = False,
@@ -117,16 +113,15 @@ def repair_database(
         precomputed ``violations`` list (whose constraint objects would
         not match the simplified set).
     parallel:
-        ``None``/``False`` (default) keeps the classic serial pipeline.
-        ``True`` (``auto``) takes the decomposed path but runs every stage
-        in-process; a backend name
-        (``serial``/``process``/``auto``) or an
-        :class:`~repro.runtime.ExecutionPolicy` selects one explicitly.
-        Any non-serial request also switches solving to the
-        component-decomposed path, so the result is identical for every
-        backend and worker count (see DESIGN.md, "Parallel runtime").
+        ``None``/``False``/``"serial"`` (default) solves the whole
+        MWSCP instance at once.  ``True``/``"auto"`` solves it per
+        connected component (:func:`~repro.setcover.decompose.
+        solve_by_components`).  Every stage runs in-process either way
+        (see DESIGN.md, "Component decomposition").
     max_workers:
-        Worker bound for the parallel stages (default: all cores).
+        Accepted for compatibility and validated (``None`` or an int
+        >= 1), but it changes nothing: there is no worker pool, so the
+        repair is the same for every value.
     engine:
         Violation-detection engine: ``auto`` (default; SQL pushdown when
         the instance is backend-resident, else the columnar kernel when
@@ -210,18 +205,19 @@ def repair_database(
 
         constraints = simplify_constraints(constraints)
     metric = get_metric(metric)
-    policy = ExecutionPolicy.resolve(parallel, max_workers)
-    # Any explicit parallel request (even one that resolves to a single
-    # worker) routes solving through the component decomposition, so the
-    # cover is a function of the request, not of the machine it ran on.
-    decomposed = policy.backend != "serial"
+    decomposed = decomposes(parallel)
+    if max_workers is not None and (
+        isinstance(max_workers, bool)
+        or not isinstance(max_workers, int)
+        or max_workers < 1
+    ):
+        raise RuntimeConfigError(f"max_workers must be >= 1, got {max_workers!r}")
     # Resolved before any work so a bad algorithm fails on every input,
     # consistent ones included.
     if decomposed:
         solver, max_elements, fallback = component_solver(algorithm)
     else:
         solver = get_solver(algorithm)
-    executor = Executor(policy)
     tracer = as_tracer(trace)
     # A trace created here is finished here; a caller-provided tracer is
     # left open so several pipeline calls can share one trace.
@@ -235,29 +231,20 @@ def repair_database(
                 category="pipeline",
                 algorithm=str(algorithm),
                 engine=resolve_engine(engine, instance),
-                backend=policy.backend if decomposed else "serial",
+                backend="auto" if decomposed else "serial",
                 tuples=len(instance),
                 constraints=len(constraints),
             )
         )
 
         started = time.perf_counter()
-        detect_workers = 1
-        detect_backend = "serial"
         with tracer.span("detect", category="stage") as detect_span:
             if violations is None:
-                if executor.is_parallel and len(constraints) > 1:
-                    detect_backend = executor.dispatch_backend
-                    detect_workers = min(executor.workers, len(constraints))
-                detect_executor = executor if detect_workers > 1 else None
                 if plan is not None and engine == "auto":
                     from repro.plan.runtime import planned_find_all_violations
 
                     violations = planned_find_all_violations(
-                        instance,
-                        constraints,
-                        plan,
-                        executor=detect_executor,
+                        instance, constraints, plan
                     )
                 elif plan is not None:
                     # Explicit engine request wins over the planned
@@ -265,22 +252,13 @@ def repair_database(
                     violations = find_all_violations(
                         instance,
                         plan.executed_constraints(constraints),
-                        executor=detect_executor,
                         engine=engine,
                     )
                 else:
                     violations = find_all_violations(
-                        instance,
-                        constraints,
-                        executor=detect_executor,
-                        engine=engine,
+                        instance, constraints, engine=engine
                     )
-            detect_span.tag(
-                violations=len(violations),
-                workers=detect_workers,
-                backend=detect_backend,
-                work=len(instance),
-            )
+            detect_span.tag(violations=len(violations), work=len(instance))
         if tracer.enabled:
             from repro.violations.degree import degree_of_database
 
@@ -337,10 +315,8 @@ def repair_database(
             len(problem.violations),
             problem.setcover.n_sets,
             algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "?"),
-            f" [{policy.backend} x{executor.workers}]" if decomposed else "",
+            " per component" if decomposed else "",
         )
-        solve_workers = 1
-        solve_backend = "serial"
         with tracer.span("solve", category="stage") as solve_span:
             if decomposed:
                 cover = solve_by_components(
@@ -348,18 +324,12 @@ def repair_database(
                     solver,
                     max_component_elements=max_elements,
                     fallback=fallback,
-                    executor=executor,
                 )
-                if executor.is_parallel and cover.stats["components"] > 1:
-                    solve_backend = executor.dispatch_backend
-                    solve_workers = executor.workers
             else:
                 cover = solver(problem.setcover)
             solve_span.tag(
                 weight=cover.weight,
                 selected=len(cover.selected),
-                workers=solve_workers,
-                backend=solve_backend,
                 work=problem.setcover.n_elements + problem.setcover.n_sets,
             )
         solved = time.perf_counter()
@@ -406,11 +376,6 @@ def repair_database(
 
         solver_stats = dict(cover.stats)
         solver_stats["detection_engine"] = resolve_engine(engine, instance)
-        if decomposed:
-            solver_stats["runtime_backend"] = solve_backend
-            solver_stats["runtime_workers"] = executor.workers
-            solver_stats["detect_workers"] = detect_workers
-            solver_stats["solve_workers"] = solve_workers
         elapsed = {
             "detect": detected - started,
             "reduce": built - detected,
@@ -450,18 +415,16 @@ def _finish_after(ctx: ExitStack, tracer: Tracer):
 def repair_problem_cover(
     problem: RepairProblem,
     algorithm: str = DEFAULT_SOLVER,
-    parallel: "bool | str | ExecutionPolicy | None" = None,
-    max_workers: int | None = None,
+    parallel: "bool | str | None" = None,
 ):
     """Solve a prebuilt repair problem; exposed for the benchmark harness.
 
     The Figure-3 benchmark times *only* the MWSCP solver component (as the
     paper does), so it builds the problem once and calls this repeatedly.
-    ``parallel``/``max_workers`` select the component-decomposed parallel
-    path, mirroring :func:`repair_database`.
+    ``parallel`` selects the per-component solve, mirroring
+    :func:`repair_database`.
     """
-    policy = ExecutionPolicy.resolve(parallel, max_workers)
-    if policy.backend == "serial":
+    if not decomposes(parallel):
         return get_solver(algorithm)(problem.setcover)
     solver, max_elements, fallback = component_solver(algorithm)
     return solve_by_components(
@@ -469,5 +432,4 @@ def repair_problem_cover(
         solver,
         max_component_elements=max_elements,
         fallback=fallback,
-        executor=Executor(policy),
     )

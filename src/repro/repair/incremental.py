@@ -41,8 +41,7 @@ from repro.obs import Tracer, as_tracer, normalize_solver_stats
 from repro.repair.builder import build_repair_problem
 from repro.repair.apply import apply_cover
 from repro.repair.result import RepairResult
-from repro.runtime.executor import ExecutionPolicy, Executor
-from repro.setcover.decompose import solve_by_components
+from repro.setcover.decompose import decomposes, solve_by_components
 from repro.setcover.solvers import DEFAULT_SOLVER, component_solver, get_solver
 from repro.violations.detector import (
     find_all_violations,
@@ -67,8 +66,7 @@ class IncrementalRepairer:
         algorithm: str = DEFAULT_SOLVER,
         metric: str | DistanceMetric = CITY_DISTANCE,
         repair_initial: bool = True,
-        parallel: "bool | str | ExecutionPolicy | None" = None,
-        max_workers: int | None = None,
+        parallel: "bool | str | None" = None,
         engine: str = "auto",
         trace: "bool | Tracer" = False,
         plan: "CompiledProgram | None" = None,
@@ -108,19 +106,15 @@ class IncrementalRepairer:
         # (after name validation) rather than failing every commit.
         resolve_engine(engine)
         self._engine = "auto" if engine == "pushdown" else engine
-        # ``parallel`` means what it means in ``repair_database``: any
-        # non-serial request solves per connected component, and only an
-        # explicit ``process`` request dispatches to a pool.  In-process
-        # anchored detection keeps the shared join-index cache hot.
-        policy = self._policy = ExecutionPolicy.resolve(parallel, max_workers)
-        self._executor = Executor(policy)
-        # Resolved once, before any detection: a bad algorithm fails here
-        # even when every commit would find nothing to repair.  A
-        # non-serial policy solves per connected component (see _solve).
-        if policy.backend == "serial":
-            self._solver = get_solver(algorithm)
-        else:
+        # ``parallel`` means what it means in ``repair_database``: solve
+        # per connected component.  Resolved once, before any detection:
+        # a bad algorithm fails here even when every commit would find
+        # nothing to repair.
+        self._decomposed = decomposes(parallel)
+        if self._decomposed:
             self._component_policy = component_solver(algorithm)
+        else:
+            self._solver = get_solver(algorithm)
         if self._plan is None or not self._plan.solver.locality_ok:
             # With a plan, locality was proven at compile time; without
             # one (or when the plan could not prove it) the raising
@@ -238,7 +232,6 @@ class IncrementalRepairer:
                     self._active_constraints,
                     tuple(self._staged.values()),
                     raw_indexes=self._join_indexes,
-                    executor=self._executor if self._policy.is_parallel else None,
                     engine=self._engine,
                 )
                 detect_span.tag(violations=len(violations))
@@ -328,13 +321,12 @@ class IncrementalRepairer:
         return self._tracer.finish()
 
     def _solve(self, setcover) -> "Cover":
-        """Solve one commit's MWSCP; decomposed when parallelism is on.
+        """Solve one commit's MWSCP; per component when ``parallel`` is on.
 
-        Mirrors :func:`repro.repair.engine.repair_database`: a non-serial
-        policy routes through the component decomposition so the covers
-        match batch-parallel repairs of the same state, byte for byte.
+        Mirrors :func:`repro.repair.engine.repair_database`, so the covers
+        match decomposed batch repairs of the same state, byte for byte.
         """
-        if self._policy.backend == "serial":
+        if not self._decomposed:
             return self._solver(setcover)
         solver, max_elements, fallback = self._component_policy
         return solve_by_components(
@@ -342,7 +334,6 @@ class IncrementalRepairer:
             solver,
             max_component_elements=max_elements,
             fallback=fallback,
-            executor=self._executor,
         )
 
     def _verify(self) -> None:

@@ -3,7 +3,7 @@
 A *job* is one ``repair_database`` request travelling through the
 :class:`~repro.service.runtime.RepairService`: submitted, admitted into
 the bounded :class:`~repro.service.queue.JobQueue`, executed on a bridge
-thread over the :mod:`repro.runtime` executors, and finished in exactly
+thread, and finished in exactly
 one terminal state.  The full lifecycle::
 
     pending -> running -> succeeded

@@ -3,10 +3,8 @@
 :class:`RepairService` is a long-running asyncio runtime that accepts
 repair jobs, admits them through a bounded
 :class:`~repro.service.queue.JobQueue`, and executes each on a *bridge*
-thread pool calling straight into :func:`repro.repair.engine.repair_database`
-- so each job can itself fan out through the :mod:`repro.runtime`
-process executor via its ``parallel`` parameter.  The service
-adds what one-shot calls lack:
+thread pool calling straight into :func:`repro.repair.engine.repair_database`.
+The service adds what one-shot calls lack:
 
 * **admission control** - ``max_pending`` + the streaming layer's
   ``block``/``error`` backpressure policies;
@@ -88,7 +86,6 @@ ALLOWED_PARAMS = frozenset(
         "check_locality",
         "simplify",
         "parallel",
-        "max_workers",
         "engine",
     }
 )

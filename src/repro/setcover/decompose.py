@@ -18,8 +18,9 @@ components are independent subproblems:
   only produce lighter covers.
 
 ``decompose`` returns the components; ``solve_by_components`` runs a
-solver per component — serially or fanned out over a
-:mod:`repro.runtime` executor — and stitches the covers back together.
+solver per component, in-process, and stitches the covers back together.
+:func:`decomposes` reads the pipeline's ``parallel`` option, which only
+chooses between the whole-instance solve and this per-component one.
 """
 
 from __future__ import annotations
@@ -27,8 +28,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.exceptions import RuntimeConfigError
 from repro.setcover.instance import SetCoverInstance
 from repro.setcover.result import Cover
+
+#: ``parallel`` values by name: ``serial`` solves the whole instance,
+#: ``auto`` solves per connected component.  Every stage runs in-process
+#: either way (DESIGN.md, "Component decomposition", says why there is
+#: no worker pool).
+BACKENDS = ("serial", "auto")
+
+
+def decomposes(parallel: "bool | str | None") -> bool:
+    """Whether ``parallel`` asks for the per-component solve.
+
+    ``None``, ``False`` and ``"serial"`` mean the undecomposed solve;
+    ``True`` and ``"auto"`` mean solving per connected component.  Any
+    other value - the retired ``"process"`` and ``"thread"`` backends
+    included - raises :class:`~repro.exceptions.RuntimeConfigError`.
+    Every entry point that takes ``parallel`` reads it through here.
+    """
+    if parallel is None or isinstance(parallel, bool):
+        return bool(parallel)
+    if isinstance(parallel, str):
+        if parallel not in BACKENDS:
+            raise RuntimeConfigError(
+                f"unknown execution backend {parallel!r}; choose from {BACKENDS}"
+            )
+        return parallel == "auto"
+    raise RuntimeConfigError(
+        f"parallel must be a bool, None or one of {BACKENDS}, got {parallel!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -140,66 +170,11 @@ def _solver_name(solver: Callable[[SetCoverInstance], Cover]) -> str:
     return name[5:] if name.startswith("flat_") else name
 
 
-def _solve_components_parallel(
-    components: Sequence[Component],
-    chosen: Sequence[Callable[[SetCoverInstance], Cover]],
-    executor,
-) -> list[tuple] | None:
-    """Fan component solving out over an executor; ``None`` = stay serial.
-
-    Components are LPT-batched by size (elements + sets) so one large
-    component cannot straggle a worker that also drew many small ones.
-    Results come back as ``(selected, weight, iterations, stats)`` tuples
-    reassembled into original component order, which makes the merge loop
-    byte-identical to the serial one.
-    """
-    from repro.runtime.executor import as_executor, balanced_chunks
-    from repro.runtime.workers import (
-        component_spec,
-        solve_component_batch,
-        solver_token,
-    )
-
-    ex = as_executor(executor)
-    if not ex.is_parallel or len(components) <= 1:
-        return None
-    # Process workers export a remote trace payload, merged on return.
-    from repro.obs import current_tracer
-
-    tracer = current_tracer()
-    tokens = [solver_token(use) for use in chosen]
-    costs = [
-        float(c.instance.n_elements + c.instance.n_sets) for c in components
-    ]
-    chunks = balanced_chunks(costs, ex.n_chunks(len(components)))
-    payloads = [
-        (
-            [component_spec(components[i].instance) for i in chunk],
-            [tokens[i] for i in chunk],
-            tracer.enabled,
-        )
-        for chunk in chunks
-    ]
-    results: list[tuple | None] = [None] * len(components)
-    outcomes = ex.map(solve_component_batch, payloads)
-    for chunk, outcome in zip(chunks, outcomes):
-        if tracer.enabled:
-            batch, remote = outcome
-            tracer.attach_remote(remote)
-        else:
-            batch = outcome
-        for index, result in zip(chunk, batch):
-            results[index] = result
-    return results  # type: ignore[return-value]
-
-
 def solve_by_components(
     instance: SetCoverInstance,
     solver: Callable[[SetCoverInstance], Cover],
     max_component_elements: int | None = None,
     fallback: Callable[[SetCoverInstance], Cover] | None = None,
-    executor=None,
-    max_workers: int | None = None,
 ) -> Cover:
     """Solve each connected component independently and merge the covers.
 
@@ -207,15 +182,8 @@ def solve_by_components(
     "exact where feasible" policy: components larger than the limit are
     handed to the fallback approximation instead of the main solver.
 
-    ``executor`` (anything :func:`repro.runtime.as_executor` accepts — an
-    :class:`~repro.runtime.Executor`, an
-    :class:`~repro.runtime.ExecutionPolicy`, a backend name, or ``True``)
-    fans the per-component solves out across workers; ``max_workers``
-    bounds the pool; ``auto`` solves in-process (see
-    :attr:`~repro.runtime.ExecutionPolicy.dispatch_backend`).  Components
-    are independent subproblems and results are merged in component order,
-    so every backend returns the same cover as the serial loop, byte for
-    byte.
+    Components are independent subproblems, solved one after another and
+    merged in component order, so the cover is deterministic.
 
     The merged ``stats`` carry the component counts plus the key-wise sum
     of every per-component solver stat (heap operations, layers, B&B
@@ -226,8 +194,11 @@ def solve_by_components(
     the whole instance.
     """
     components = decompose(instance)
-    chosen: list[Callable[[SetCoverInstance], Cover]] = []
     oversized = 0
+    selected: list[int] = []
+    total_weight = 0.0
+    iterations = 0
+    merged_stats: dict[str, "int | float"] = {}
     for component in components:
         use = solver
         if (
@@ -242,30 +213,11 @@ def solve_by_components(
                 )
             use = fallback
             oversized += 1
-        chosen.append(use)
-
-    results = None
-    if executor is not None or max_workers is not None:
-        results = _solve_components_parallel(components, chosen, _coerce_executor(executor, max_workers))
-    if results is None:
-        results = []
-        for component, use in zip(components, chosen):
-            cover = use(component.instance)
-            results.append(
-                (cover.selected, cover.weight, cover.iterations, cover.stats)
-            )
-
-    selected: list[int] = []
-    total_weight = 0.0
-    iterations = 0
-    merged_stats: dict[str, "int | float"] = {}
-    for component, (local_selected, weight, local_iterations, stats) in zip(
-        components, results
-    ):
-        selected.extend(component.set_ids[i] for i in local_selected)
-        total_weight += weight
-        iterations += local_iterations
-        for key, value in stats.items():
+        cover = use(component.instance)
+        selected.extend(component.set_ids[i] for i in cover.selected)
+        total_weight += cover.weight
+        iterations += cover.iterations
+        for key, value in cover.stats.items():
             # Int counts stay int (see repro.obs.stats for the schema);
             # any float contribution makes the sum float.
             if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -290,13 +242,6 @@ def solve_by_components(
         iterations=iterations,
         stats=merged_stats,
     )
-
-
-def _coerce_executor(executor, max_workers: int | None):
-    """Late import indirection so serial users never touch the runtime."""
-    from repro.runtime.executor import as_executor
-
-    return as_executor(executor, max_workers)
 
 
 def component_size_histogram(

@@ -51,7 +51,7 @@ import sys
 from typing import Callable, Sequence
 
 from repro.exceptions import ReproError
-from repro.runtime.executor import BACKENDS
+from repro.setcover.decompose import BACKENDS
 from repro.system.config import RepairConfig
 from repro.system.pipeline import RepairProgram
 
@@ -83,17 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--parallel",
         choices=BACKENDS,
-        help="override the configured runtime backend: fan violation "
-        "detection out per constraint and set-cover solving per connected "
-        "component (results are identical on every backend); 'auto' "
-        "decomposes like the pool but runs every stage in-process, since "
-        "no measured input size made the process pool pay",
-    )
-    parser.add_argument(
-        "--max-workers",
-        type=int,
-        metavar="N",
-        help="worker bound for the parallel runtime (default: all cores)",
+        help="override the configured runtime backend: 'auto' solves the "
+        "set cover per connected component, 'serial' solves it whole; "
+        "every stage runs in-process either way",
     )
     parser.add_argument(
         "--engine",
@@ -189,11 +181,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             overrides["repair_semantics"] = args.semantics
         if args.parallel:
             overrides["runtime_backend"] = args.parallel
-        if args.max_workers is not None:
-            if args.max_workers < 1:
-                print("error: --max-workers must be >= 1", file=sys.stderr)
-                return 1
-            overrides["runtime_workers"] = args.max_workers
         if args.engine:
             overrides["detection_engine"] = args.engine
         if args.stream or args.max_pending is not None or args.commit_interval is not None:
@@ -852,7 +839,6 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
             }
             if config.runtime_backend != "serial":
                 params["parallel"] = config.runtime_backend
-                params["max_workers"] = config.runtime_workers
             def job_source(i: int):
                 return instance, constraints
         if args.workers is not None:

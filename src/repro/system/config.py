@@ -25,7 +25,7 @@ into text file)."*  We use JSON::
       "algorithm": "modified-greedy",
       "metric": "l1",
       "violation_detection": "memory",
-      "runtime": {"backend": "process", "max_workers": 4, "engine": "auto"},
+      "runtime": {"backend": "auto", "engine": "auto"},
       "source": {"backend": "sqlite", "path": "clients.db"},
       "export": {"mode": "update"}
     }
@@ -34,10 +34,9 @@ into text file)."*  We use JSON::
 (with ``directory``), or ``memory`` (with inline ``rows``);
 ``export.mode`` is ``update`` / ``insert`` / ``dump`` (the latter with
 ``destination``).  The optional ``runtime`` block picks the
-parallel-execution backend (``serial`` / ``process`` / ``auto``;
-``auto`` decomposes like the pool but runs every stage in-process, see
-:data:`~repro.runtime.executor.BACKENDS`) and worker count for the
-detection and solving stages, plus the violation-detection ``engine``
+``backend`` (``serial``, or ``auto`` to solve per connected component,
+see :data:`~repro.setcover.decompose.BACKENDS`), plus the
+violation-detection ``engine``
 (``auto`` / ``kernel`` / ``interpreted`` / ``pushdown``, see
 :mod:`repro.violations.kernels`); it defaults to the serial pipeline
 with the ``auto`` engine, which resolves to ``pushdown`` for instances
@@ -90,7 +89,7 @@ from repro.constraints.parser import parse_denials
 from repro.exceptions import ConfigError, ConstraintParseError, SchemaError
 from repro.fixes.distance import get_metric
 from repro.model.schema import Attribute, AttributeRole, Relation, Schema
-from repro.runtime.executor import BACKENDS, ExecutionPolicy
+from repro.setcover.decompose import BACKENDS
 from repro.setcover.solvers import SOLVERS
 from repro.storage.base import ExportMode
 from repro.violations.kernels import ENGINES as _VALID_ENGINES
@@ -112,9 +111,8 @@ class RepairConfig:
     (``delete``, Section 5), and the conclusion's combined mode
     (``mixed``); ``table_weights`` sets the per-relation deletion weights
     ``α_{δ_R}`` for the deletion-based modes.  ``runtime_backend`` /
-    ``runtime_workers`` / ``detection_engine`` configure the
-    parallel-execution runtime and the violation-detection engine (the
-    JSON ``runtime`` block).
+    ``detection_engine`` pick the per-component solve and the
+    violation-detection engine (the JSON ``runtime`` block).
     """
 
     schema: Schema
@@ -128,7 +126,6 @@ class RepairConfig:
     repair_semantics: str = "update"
     table_weights: Mapping[str, float] = field(default_factory=dict)
     runtime_backend: str = "serial"
-    runtime_workers: int | None = None
     detection_engine: str = "auto"
     trace_enabled: bool = False
     trace_out: str | None = None
@@ -151,13 +148,6 @@ class RepairConfig:
     service_retry_backoff: float = 0.05
     service_cache_entries: int = 256
     service_trace_jobs: bool = False
-
-    @property
-    def execution_policy(self) -> ExecutionPolicy:
-        """The configured runtime as an :class:`ExecutionPolicy`."""
-        return ExecutionPolicy(
-            backend=self.runtime_backend, max_workers=self.runtime_workers
-        )
 
     def service_options(self) -> "dict[str, Any]":
         """The ``service`` block as :class:`repro.service.RepairService`
@@ -257,23 +247,13 @@ class RepairConfig:
         _reject_unknown(
             "runtime",
             runtime,
-            {"backend", "max_workers", "engine", "trace", "streaming"},
+            {"backend", "engine", "trace", "streaming"},
         )
         runtime_backend = runtime.get("backend", "serial")
         if runtime_backend not in BACKENDS:
             raise ConfigError(
                 f"runtime.backend must be one of {BACKENDS}, "
                 f"got {runtime_backend!r}"
-            )
-        runtime_workers = runtime.get("max_workers")
-        if runtime_workers is not None and (
-            not isinstance(runtime_workers, int)
-            or isinstance(runtime_workers, bool)
-            or runtime_workers < 1
-        ):
-            raise ConfigError(
-                f"runtime.max_workers must be a positive integer, "
-                f"got {runtime_workers!r}"
             )
         detection_engine = runtime.get("engine", "auto")
         if detection_engine not in _VALID_ENGINES:
@@ -333,7 +313,6 @@ class RepairConfig:
             repair_semantics=semantics,
             table_weights=dict(table_weights),
             runtime_backend=runtime_backend,
-            runtime_workers=runtime_workers,
             detection_engine=detection_engine,
             trace_enabled=trace_enabled,
             trace_out=trace_out,

@@ -161,14 +161,13 @@ class RepairProgram:
             violations = self.backend.find_violations(
                 self.config.schema, self.config.constraints, instance
             )
-        policy = self.config.execution_policy
         result = repair_database(
             instance,
             self.config.constraints,
             algorithm=self.config.algorithm,
             metric=self.config.metric,
             violations=violations,
-            parallel=policy if policy.backend != "serial" else None,
+            parallel=self.config.runtime_backend,
             engine=self.config.detection_engine,
             trace=self.config.trace_enabled,
             plan=plan,
@@ -212,7 +211,6 @@ class RepairProgram:
         """
         from repro.repair.streaming import StreamingRepairer
 
-        policy = self.config.execution_policy
         streamer = StreamingRepairer(
             DatabaseInstance(self.config.schema),
             self.config.constraints,
@@ -222,7 +220,7 @@ class RepairProgram:
             trace=self.config.trace_enabled,
             algorithm=self.config.algorithm,
             metric=self.config.metric,
-            parallel=policy if policy.backend != "serial" else None,
+            parallel=self.config.runtime_backend,
             engine=self.config.detection_engine,
             plan=plan,
         )
@@ -265,7 +263,6 @@ class RepairProgram:
         snapshot path (table rewrite / new tables / text dump) instead of
         per-cell updates.
         """
-        policy = self.config.execution_policy
         deletion = cardinality_repair(
             instance,
             self.config.constraints,
@@ -273,7 +270,7 @@ class RepairProgram:
             mode=self.config.repair_semantics,      # "delete" | "mixed"
             table_weights=self.config.table_weights or None,
             metric=self.config.metric,
-            parallel=policy if policy.backend != "serial" else None,
+            parallel=self.config.runtime_backend,
             engine=self.config.detection_engine,
             trace=self.config.trace_enabled,
         )

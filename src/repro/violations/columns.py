@@ -167,12 +167,6 @@ class ViolationColumns(Sequence[ViolationSet]):
         for block, constraint in enumerate(self.constraints):
             yield constraint, self.bounds[block], self.bounds[block + 1]
 
-    def with_constraint(self, constraint: DenialConstraint) -> "ViolationColumns":
-        """The same single-constraint view violating ``constraint`` instead."""
-        return ViolationColumns(
-            self.tuples, self.slots, (constraint,), self.bounds, self.origin
-        )
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ViolationColumns):
             return self is other or tuple(self) == tuple(other)

@@ -458,8 +458,7 @@ def find_violations(
 
     Under an active tracer each call records a ``detect:<label>`` span
     tagged with the engine and the violation count, and bumps the
-    ``violations_found{constraint=<label>}`` counter - in process
-    workers it is exported and merged by the runtime.
+    ``violations_found{constraint=<label>}`` counter.
     """
     tracer = current_tracer()
     if not tracer.enabled:
@@ -519,108 +518,18 @@ def find_all_violations(
     instance: DatabaseInstance,
     constraints: Iterable[DenialConstraint],
     max_violations: int | None = None,
-    executor=None,
     engine: str = "auto",
 ) -> Sequence[ViolationSet]:
     """Compute ``I(D, IC)`` across all constraints, in constraint order.
 
-    ``executor`` (anything :func:`repro.runtime.as_executor` accepts) fans
-    detection out with one work item per constraint — constraints never
-    share violation sets, so the fan-out is shared-nothing.  Constraints
-    are batched by estimated join cost into at most one batch per worker
-    (so the instance is pickled once per worker), and results are
-    concatenated in constraint order: the output is identical to the
-    serial loop.  ``auto`` keeps detection in-process
-    (see :attr:`~repro.runtime.ExecutionPolicy.dispatch_backend`).  The
-    ``max_violations`` safety valve keeps working; a tripped valve in any
-    worker raises :class:`~repro.exceptions.ConstraintError` here.
-
-    ``engine`` composes with the fan-out: each worker runs the requested
-    engine on its constraint batch (process workers rebuild their own
-    columnar snapshots from the shipped instance).  When the pushdown
-    engine is selected the fan-out is skipped and the per-constraint
-    loop stays serial: the backend connection is not shareable across
-    workers (and the database parallelizes each violation query
-    internally), while a shipped instance would arrive unbound and
-    silently detect with a different engine.
+    ``max_violations`` and ``engine`` apply per constraint (see
+    :func:`find_violations`); results concatenate in constraint order.
     """
-    constraints = tuple(constraints)
-    if executor is not None and resolve_engine(engine, instance) == "pushdown":
-        executor = None
-    per_constraint = _detect_parallel(
-        instance, constraints, max_violations, executor, engine
-    )
-    if per_constraint is None:
-        per_constraint = [
+    return concat_violations(
+        [
             find_violations(instance, constraint, max_violations, engine)
             for constraint in constraints
         ]
-    return concat_violations(per_constraint)
-
-
-def _detect_parallel(
-    instance: DatabaseInstance,
-    constraints: tuple[DenialConstraint, ...],
-    max_violations: int | None,
-    executor,
-    engine: str = "auto",
-) -> list[Sequence[ViolationSet]] | None:
-    """Per-constraint fan-out of ``find_violations``; ``None`` = stay serial."""
-    if executor is None:
-        return None
-    from repro.runtime.executor import as_executor, balanced_chunks
-    from repro.runtime.workers import detect_constraint_batch, detection_cost
-
-    ex = as_executor(executor)
-    if not ex.is_parallel or len(constraints) <= 1:
-        return None
-    # Process workers cannot see the active tracer, so ship a trace flag
-    # and merge the exported spans/metrics on the way back.
-    tracer = current_tracer()
-    costs = [detection_cost(constraint) for constraint in constraints]
-    chunks = balanced_chunks(costs, ex.instance_batches(len(costs)))
-    payloads = [
-        (
-            instance,
-            [constraints[i] for i in chunk],
-            max_violations,
-            engine,
-            tracer.enabled,
-        )
-        for chunk in chunks
-    ]
-    results: list[Sequence[ViolationSet] | None] = [None] * len(constraints)
-    outcomes = ex.map(detect_constraint_batch, payloads)
-    for chunk, outcome in zip(chunks, outcomes):
-        if tracer.enabled:
-            batch, remote = outcome
-            tracer.attach_remote(remote)
-        else:
-            batch = outcome
-        for index, violations in zip(chunk, batch):
-            results[index] = _reintern_constraint(violations, constraints[index])
-    return results  # type: ignore[return-value]
-
-
-def _reintern_constraint(
-    violations: Sequence[ViolationSet], constraint: DenialConstraint
-) -> Sequence[ViolationSet]:
-    """Swap unpickled constraint copies for the caller's original objects.
-
-    The process backend round-trips work through pickle, so the returned
-    violation sets would otherwise reference equal-but-distinct constraint
-    copies; downstream consumers are equality-based, but keeping identity
-    stable makes the parallel path indistinguishable from the serial one.
-    """
-    if isinstance(violations, ViolationColumns):
-        if violations.constraints[0] is constraint:
-            return violations
-        return violations.with_constraint(constraint)
-    return tuple(
-        v
-        if v.constraint is constraint
-        else ViolationSet(v.tuples, constraint)
-        for v in violations
     )
 
 
@@ -659,9 +568,7 @@ def violations_involving_constraint(
 ) -> tuple[ViolationSet, ...]:
     """One constraint's share of :func:`find_violations_involving`.
 
-    Exposed as a top-level function so the parallel runtime can dispatch
-    it per constraint (see :mod:`repro.runtime.workers`).  The kernel
-    engine pins the anchored atom first in its join order and restricts
+    The kernel engine pins the anchored atom first in its join order and restricts
     that atom's candidates to the anchors; ``raw_indexes`` only applies
     to the interpreted path (the kernel has its own columnar snapshots).
     Under ``"auto"``, supplying ``raw_indexes`` therefore selects the
@@ -757,7 +664,6 @@ def find_violations_involving(
     constraints: Iterable[DenialConstraint],
     anchors: Iterable[Tuple],
     raw_indexes: Mapping | None = None,
-    executor=None,
     engine: str = "auto",
 ) -> Sequence[ViolationSet]:
     """Violation sets that involve at least one of the ``anchors``.
@@ -771,12 +677,8 @@ def find_violations_involving(
     the remaining atoms are reached by hash lookups and the full instance
     is never scanned.
 
-    ``executor`` fans the per-constraint anchored joins out exactly like
-    :func:`find_all_violations`; output order (constraint order, then the
-    deterministic within-constraint order) is preserved.  Process workers
-    never see ``raw_indexes`` — pickling a whole join-index cache would
-    cost more than rebuilding the throwaway indexes — so run serial when
-    the cache is the point.
+    Output is in constraint order, then the deterministic
+    within-constraint order.
 
     Minimality is computed within the returned candidates, which is exact
     under the stated precondition (the instance minus the anchors is
@@ -785,60 +687,14 @@ def find_violations_involving(
     anchors.
     """
     anchor_list = list(anchors)
-    constraints = tuple(constraints)
-    per_constraint = _detect_anchored_parallel(
-        instance, constraints, anchor_list, executor, engine
-    )
-    if per_constraint is None:
-        per_constraint = [
+    return concat_violations(
+        [
             violations_involving_constraint(
                 instance, constraint, anchor_list, raw_indexes, engine
             )
             for constraint in constraints
         ]
-    return concat_violations(per_constraint)
-
-
-def _detect_anchored_parallel(
-    instance: DatabaseInstance,
-    constraints: tuple[DenialConstraint, ...],
-    anchors: list[Tuple],
-    executor,
-    engine: str = "auto",
-) -> list[tuple[ViolationSet, ...]] | None:
-    """Anchored per-constraint fan-out; ``None`` = stay serial."""
-    if executor is None:
-        return None
-    from repro.runtime.executor import as_executor, balanced_chunks
-    from repro.runtime.workers import detect_anchored_batch, detection_cost
-
-    ex = as_executor(executor)
-    if not ex.is_parallel or len(constraints) <= 1:
-        return None
-    tracer = current_tracer()
-    costs = [detection_cost(constraint) for constraint in constraints]
-    chunks = balanced_chunks(costs, ex.instance_batches(len(costs)))
-    payloads = [
-        (
-            instance,
-            [constraints[i] for i in chunk],
-            anchors,
-            engine,
-            tracer.enabled,
-        )
-        for chunk in chunks
-    ]
-    results: list[tuple[ViolationSet, ...] | None] = [None] * len(constraints)
-    outcomes = ex.map(detect_anchored_batch, payloads)
-    for chunk, outcome in zip(chunks, outcomes):
-        if tracer.enabled:
-            batch, remote = outcome
-            tracer.attach_remote(remote)
-        else:
-            batch = outcome
-        for index, violations in zip(chunk, batch):
-            results[index] = _reintern_constraint(violations, constraints[index])
-    return results  # type: ignore[return-value]
+    )
 
 
 def is_consistent(

@@ -183,13 +183,27 @@ def _candidate_rows(snapshot: ColumnarRelation, atom_plan):
 # join machinery
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 def _shift(np, values, offset: int):
-    """``values + offset`` on the int64 fast path, KernelError otherwise."""
+    """``values + offset`` on the int64 fast path, KernelError otherwise.
+
+    NumPy int64 addition wraps silently, so a shift that would leave the
+    int64 range is refused (the interpreted engine compares unbounded
+    Python ints).  Only the extreme the offset pushes on needs checking.
+    """
     if offset == 0:
         return values
-    if values.dtype == np.int64:
-        return values + np.int64(offset)
-    raise KernelError("comparison offsets need all-integer columns")
+    if values.dtype != np.int64:
+        raise KernelError("comparison offsets need all-integer columns")
+    if not _INT64_MIN <= offset <= _INT64_MAX:
+        raise KernelError(f"comparison offset {offset} does not fit in int64")
+    if len(values):
+        extreme = int(values.max()) if offset > 0 else int(values.min())
+        if not _INT64_MIN <= extreme + offset <= _INT64_MAX:
+            raise KernelError(f"comparison offset {offset} overflows int64")
+    return values + np.int64(offset)
 
 
 def _encode_pair(np, left, right):

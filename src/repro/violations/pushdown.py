@@ -46,8 +46,7 @@ if TYPE_CHECKING:
 
 #: Attribute slot on :class:`DatabaseInstance` holding the binding.  The
 #: instance's ``__getstate__`` drops it, so bindings never travel through
-#: pickle into process-pool workers (a live DB connection would not
-#: survive the trip anyway).
+#: pickle (a live DB connection would not survive the trip anyway).
 BINDING_ATTR = "_pushdown_binding"
 
 

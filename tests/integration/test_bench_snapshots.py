@@ -107,7 +107,7 @@ def test_gated_speedups_are_positive_and_nonempty(path: Path) -> None:
 def test_parallel_snapshot_keys() -> None:
     """``BENCH_parallel.json`` is shaped differently (single top-level run)."""
     payload = json.loads((RESULTS / "BENCH_parallel.json").read_text())
-    for key in ("serial", "process", "auto", "speedup", "workers", "workload"):
+    for key in ("serial", "auto", "speedup", "workers", "workload"):
         assert key in payload, f"BENCH_parallel.json lacks {key!r}"
     assert payload["speedup"] > 0
     assert isinstance(payload["workers"], int) and payload["workers"] >= 1

@@ -16,7 +16,7 @@ from repro.violations.kernels import kernel_available
 from repro.workloads.clientbuy import client_buy_workload
 
 ENGINES = ("auto", "interpreted") + (("kernel",) if kernel_available() else ())
-EXECUTORS = ("serial", "auto", "process")
+EXECUTORS = ("serial", "auto")
 MODES = ("batch", "incremental", "streaming")
 
 
@@ -24,10 +24,6 @@ def _matrix():
     for engine in ENGINES:
         for executor in EXECUTORS:
             for mode in MODES:
-                # The process pool is expensive to spin up; one mode
-                # per combination keeps the sweep under control.
-                if executor == "process" and mode != "batch":
-                    continue
                 yield engine, executor, mode
 
 
@@ -58,7 +54,6 @@ def test_matrix_combination_matches_serial_batch(
     kwargs = {"engine": engine}
     if executor != "serial":
         kwargs["parallel"] = executor
-        kwargs["max_workers"] = 2
 
     if mode == "batch":
         result = repair_database(

@@ -75,34 +75,6 @@ class TestSnapshots:
         registry.gauge("never_written")
         assert registry.snapshot()["gauges"] == []
 
-    def test_merge_counters_add_gauges_max(self):
-        parent = MetricsRegistry()
-        parent.counter("violations_found", constraint="ic1").inc(2)
-        parent.gauge("inconsistency_degree").set(3)
-
-        worker = MetricsRegistry()
-        worker.counter("violations_found", constraint="ic1").inc(5)
-        worker.counter("violations_found", constraint="ic2").inc(1)
-        worker.gauge("inconsistency_degree").set(2)
-
-        parent.merge_snapshot(worker.snapshot())
-        snapshot = parent.snapshot()
-        counters = {
-            (c["name"], tuple(sorted(c["labels"].items()))): c["value"]
-            for c in snapshot["counters"]
-        }
-        assert counters[("violations_found", (("constraint", "ic1"),))] == 7
-        assert counters[("violations_found", (("constraint", "ic2"),))] == 1
-        assert snapshot["gauges"] == [
-            {"name": "inconsistency_degree", "labels": {}, "value": 3}
-        ]
-
-    def test_merge_empty_snapshot_is_noop(self):
-        registry = MetricsRegistry()
-        registry.merge_snapshot({"counters": [], "gauges": []})
-        registry.merge_snapshot({})
-        assert len(registry) == 0
-
 
 class TestNullMetrics:
     def test_null_registry_records_nothing(self):

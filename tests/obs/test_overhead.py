@@ -52,12 +52,10 @@ class TestZeroSpans:
     def test_untraced_repair_with_runtime_allocates_no_spans(
         self, small_clientbuy, span_counter
     ):
-        from repro.runtime import ExecutionPolicy
-
         repair_database(
             small_clientbuy.instance,
             small_clientbuy.constraints,
-            parallel=ExecutionPolicy(backend="process", max_workers=2),
+            parallel="auto",
         )
         assert span_counter["spans"] == 0
 

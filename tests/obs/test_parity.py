@@ -69,21 +69,18 @@ def test_parity_on_paper_example(paper_pub, algorithm):
     assert dict(traced.solver_stats) == dict(untraced.solver_stats)
 
 
-def test_parity_under_process_runtime(small_clientbuy):
-    from repro.runtime import ExecutionPolicy
-
-    policy = ExecutionPolicy(backend="process", max_workers=2)
+def test_parity_under_decomposed_solve(small_clientbuy):
     untraced = repair_database(
         small_clientbuy.instance,
         small_clientbuy.constraints,
         algorithm="modified-greedy",
-        parallel=policy,
+        parallel="auto",
     )
     traced = repair_database(
         small_clientbuy.instance,
         small_clientbuy.constraints,
         algorithm="modified-greedy",
-        parallel=policy,
+        parallel="auto",
         trace=True,
     )
     assert _comparable(traced) == _comparable(untraced)

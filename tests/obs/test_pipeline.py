@@ -17,7 +17,6 @@ from repro import DatabaseInstance, IncrementalRepairer, repair_database
 from repro.cardinality.engine import cardinality_repair
 from repro.exceptions import ConfigError
 from repro.obs import Tracer, load_trace
-from repro.runtime import ExecutionPolicy
 from repro.system.cli import main, repro_main, trace_main
 from repro.system.config import RepairConfig
 
@@ -103,13 +102,13 @@ class TestEngineTrace:
 
 
 class TestRuntimeTrace:
-    @pytest.mark.parametrize("backend", ["process", "auto"])
+    @pytest.mark.parametrize("backend", ["auto"])
     def test_parallel_backends_fill_the_same_tree(self, small_clientbuy, backend):
         result = repair_database(
             small_clientbuy.instance,
             small_clientbuy.constraints,
             algorithm="modified-greedy",
-            parallel=ExecutionPolicy(backend=backend, max_workers=2),
+            parallel=backend,
             trace=True,
         )
         trace = result.trace
@@ -118,7 +117,7 @@ class TestRuntimeTrace:
         assert any(
             s.name.startswith("solve:") for s in trace.find("solve").walk()
         )
-        # Every merged span respects the containment invariants.
+        # Every span respects the containment invariants.
         def check(span):
             for child in span.children:
                 assert child.duration >= 0.0
@@ -128,18 +127,6 @@ class TestRuntimeTrace:
 
         for root in trace.roots:
             check(root)
-
-    def test_process_workers_report_their_metrics(self, small_clientbuy):
-        result = repair_database(
-            small_clientbuy.instance,
-            small_clientbuy.constraints,
-            algorithm="modified-greedy",
-            parallel=ExecutionPolicy(backend="process", max_workers=2),
-            trace=True,
-        )
-        counters = {c["name"] for c in result.trace.metrics["counters"]}
-        assert "violations_found" in counters
-        assert "cover_sets" in counters
 
 
 class TestIncrementalTrace:

@@ -1,14 +1,13 @@
-"""Property-based tests (hypothesis) for worker-span merging.
+"""Property-based tests (hypothesis) for span clamping.
 
-Worker processes record spans on their own clocks; the parent folds
-them in with :meth:`Tracer.attach_remote` and clamps them into the
-receiving span's wall window on close.  Whatever the workers report -
-skewed epochs, zero durations, nested trees - the merged trace must
-satisfy the exporter invariants:
+A closing span clamps its children into its own wall window
+(:meth:`Span.close`).  Whatever the children report - skewed epochs,
+zero durations, nested trees - the finished trace must satisfy the
+exporter invariants:
 
 * no negative durations anywhere;
 * every child lies inside its parent's ``[start, end]`` window;
-* merging preserves the wall-time *order* of the worker spans.
+* clamping preserves the wall-time *order* of the children.
 """
 
 from __future__ import annotations
@@ -17,15 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.obs import Span, Tracer
 
-# Worker spans land anywhere within a few hours of the parent's window
-# (epoch skew far beyond anything a real pool produces).
+# Child spans land anywhere within a few hours of the parent's window
+# (epoch skew far beyond anything a real clock produces).
 starts = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
 durations = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
 
 
 @st.composite
 def span_dicts(draw, depth=2):
-    """A worker span in wire form, with optional nested children."""
+    """A span in wire form, with optional nested children."""
     children = (
         draw(st.lists(span_dicts(depth=depth - 1), max_size=3))
         if depth > 0
@@ -43,11 +42,11 @@ def span_dicts(draw, depth=2):
 
 
 def merged_trace(payload_spans):
-    """Attach the worker spans under a closed stage span, like the engine."""
+    """Hang the wire-form spans under a stage span that then closes."""
     tracer = Tracer()
     with tracer.span("repair", category="pipeline"):
-        with tracer.span("solve", category="stage"):
-            tracer.attach_remote({"pid": 7, "spans": payload_spans})
+        with tracer.span("solve", category="stage") as stage:
+            stage.children.extend(Span.from_dict(d) for d in payload_spans)
     return tracer.finish()
 
 
@@ -78,11 +77,11 @@ def test_merged_children_stay_inside_parent_windows(payload_spans):
 @given(st.lists(span_dicts(depth=0), min_size=2, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_merge_preserves_wall_time_order(payload_spans):
-    """Clamping is monotone: the workers' wall-time order survives the merge.
+    """Clamping is monotone: the children's wall-time order survives it.
 
-    ``attach_remote`` keeps list positions, so pairing positionally and
+    Children keep their list positions, so pairing positionally and
     sorting by the *original* start must leave the *clamped* starts
-    non-decreasing - merging never swaps two worker spans in time.
+    non-decreasing - clamping never swaps two spans in time.
     """
     trace = merged_trace(payload_spans)
     stage = trace.find("solve")

@@ -85,62 +85,6 @@ class TestActivation:
         assert sorted(root.name for root in trace.roots) == ["main", "orphan"]
 
 
-class TestRemoteFanIn:
-    def test_export_attach_round_trip(self):
-        worker = Tracer("worker")
-        with worker.span("solve:greedy", category="solver"):
-            pass
-        worker.metrics.counter("cover_sets", algorithm="greedy").inc(3)
-        payload = worker.export_remote()
-        assert payload["pid"] == os.getpid()
-
-        parent = Tracer()
-        with parent.span("solve", category="stage") as stage:
-            parent.attach_remote(payload)
-        trace = parent.finish()
-        assert trace.find("solve:greedy") is not None
-        assert stage.children[0].name == "solve:greedy"
-        counters = trace.metrics["counters"]
-        assert counters == [
-            {
-                "name": "cover_sets",
-                "labels": {"algorithm": "greedy"},
-                "value": 3,
-            }
-        ]
-
-    def test_attach_remote_clamps_into_parent_window(self):
-        worker = Tracer("worker")
-        with worker.span("work"):
-            pass
-        payload = worker.export_remote()
-        # Skew the worker span far outside any plausible parent window.
-        payload["spans"][0]["start"] -= 3600.0
-        payload["spans"][0]["duration"] = 7200.0
-
-        parent = Tracer()
-        with parent.span("stage") as stage:
-            parent.attach_remote(payload)
-        child = stage.children[0]
-        assert child.start >= stage.start
-        assert child.end <= stage.end + 1e-9
-        assert child.duration >= 0.0
-
-    def test_attach_remote_without_parent_adds_roots(self):
-        worker = Tracer("worker")
-        with worker.span("loose"):
-            pass
-        parent = Tracer()
-        parent.attach_remote(worker.export_remote())
-        assert [r.name for r in parent.finish().roots] == ["loose"]
-
-    def test_attach_none_payload_is_noop(self):
-        parent = Tracer()
-        parent.attach_remote(None)
-        parent.attach_remote({})
-        assert len(parent.finish()) == 0
-
-
 class TestNullTracer:
     def test_span_allocates_nothing(self):
         a = NULL_TRACER.span("x", category="stage", tag=1)

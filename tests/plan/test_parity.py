@@ -138,7 +138,7 @@ class TestBatchParity:
             instance,
             CONSTRAINTS_WITH_DEAD,
             check_locality=False,
-            parallel="process",
+            parallel="auto",
             plan=PLAN_WITH_DEAD,
         )
         _assert_same(planned, unplanned)

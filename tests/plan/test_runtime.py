@@ -1,15 +1,14 @@
-"""Planned detection: chain execution, runtime refusal fallback, parallel."""
+"""Planned detection: chain execution, runtime refusal fallback, decomposition."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import parse_denials
+from repro import parse_denials, repair_database
 from repro.exceptions import KernelError, PlanError
 from repro.obs.trace import Tracer
 from repro.plan import compile_program, planned_find_all_violations
 from repro.plan.runtime import effective_chain, planned_find_violations
-from repro.runtime import ExecutionPolicy
 from repro.violations.detector import find_all_violations
 from repro.workloads.clientbuy import CLIENT_BUY_CONSTRAINTS, client_buy_workload
 
@@ -96,19 +95,17 @@ class TestPlannedFindViolations:
 
 
 class TestPlannedParallel:
-    @pytest.mark.parametrize("backend", ["process", "auto"])
+    @pytest.mark.parametrize("backend", ["auto"])
     def test_parallel_matches_serial(self, workload, backend):
+        """A planned repair solved per component matches the planned serial one."""
         program = compile_program(workload.schema, workload.constraints)
-        serial = planned_find_all_violations(
-            workload.instance, workload.constraints, program
+        serial = repair_database(workload.instance, workload.constraints, plan=program)
+        parallel = repair_database(
+            workload.instance, workload.constraints, plan=program, parallel=backend
         )
-        parallel = planned_find_all_violations(
-            workload.instance,
-            workload.constraints,
-            program,
-            executor=ExecutionPolicy(backend=backend, max_workers=2),
-        )
-        assert parallel == serial
+        assert parallel.violations_before == serial.violations_before
+        assert parallel.changes == serial.changes
+        assert parallel.repaired == serial.repaired
 
     def test_skipped_entries_never_detected(self, workload):
         dead = parse_denials(

@@ -1,11 +1,11 @@
-"""Parallel and serial paths must agree byte for byte, everywhere.
+"""``parallel="auto"`` agrees with the serial-decomposed solve, everywhere.
 
-The determinism guarantee of the runtime subsystem (DESIGN.md, "Parallel
-runtime"): for every solver and every backend, the decomposed-parallel
-pipeline returns exactly the cover, changes and repaired instance of its
-serial counterpart.  These tests sweep generated workloads across all
-four approximate solvers and all three backends, at the set-cover layer,
-the detection layer, the batch engine and the incremental engine.
+DESIGN.md ("Component decomposition"): ``auto`` solves each connected
+component on its own, in-process, and merges the covers in component
+order.  These tests sweep generated workloads across all four
+approximate solvers, at the set-cover layer, the batch engine and the
+incremental engine, against a by-hand serial decomposition and against
+the undecomposed pipeline.
 """
 
 from __future__ import annotations
@@ -16,16 +16,15 @@ import pytest
 
 from repro import repair_database
 from repro.repair.incremental import IncrementalRepairer
-from repro.runtime import ExecutionPolicy, as_executor
 from repro.setcover import (
     SetCoverInstance,
+    decompose,
     greedy_cover,
     layer_cover,
     modified_greedy_cover,
     modified_layer_cover,
     solve_by_components,
 )
-from repro.violations.detector import find_all_violations, find_violations_involving
 from repro.workloads import client_buy_workload
 
 APPROXIMATE_SOLVERS = {
@@ -35,7 +34,7 @@ APPROXIMATE_SOLVERS = {
     "modified-layer": modified_layer_cover,
 }
 
-BACKENDS = ["process", "auto"]
+BACKENDS = ["auto"]
 
 
 def random_clustered_instance(seed: int) -> SetCoverInstance:
@@ -61,67 +60,69 @@ class TestSetcoverEquality:
     @pytest.mark.parametrize("solver_name", sorted(APPROXIMATE_SOLVERS))
     @pytest.mark.parametrize("seed", range(4))
     def test_parallel_equals_serial_cover(self, solver_name, seed):
+        """The merged cover equals solving each component by hand."""
         instance = random_clustered_instance(seed)
         solver = APPROXIMATE_SOLVERS[solver_name]
-        serial = solve_by_components(instance, solver)
-        for backend in BACKENDS:
-            parallel = solve_by_components(
-                instance, solver, executor=backend, max_workers=4
-            )
-            assert parallel.selected == serial.selected
-            assert parallel.weight == serial.weight
-            assert parallel.iterations == serial.iterations
-            assert dict(parallel.stats) == dict(serial.stats)
-            assert parallel.algorithm == serial.algorithm
+        selected, weight, iterations = [], 0.0, 0
+        components = decompose(instance)
+        for component in components:
+            cover = solver(component.instance)
+            selected.extend(component.set_ids[i] for i in cover.selected)
+            weight += cover.weight
+            iterations += cover.iterations
+        merged = solve_by_components(instance, solver)
+        assert merged.selected == tuple(selected)
+        assert merged.weight == weight
+        assert merged.iterations == iterations
+        assert merged.stats["components"] == len(components)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_worker_count_does_not_change_cover(self, workers):
-        instance = random_clustered_instance(99)
-        serial = solve_by_components(instance, modified_greedy_cover)
-        parallel = solve_by_components(
-            instance,
-            modified_greedy_cover,
-            executor="process",
+        """``repair_database`` accepts ``max_workers`` but ignores it."""
+        workload = client_buy_workload(60, inconsistency_ratio=0.4, seed=99)
+        reference = repair_database(
+            workload.instance, workload.constraints, parallel="auto"
+        )
+        result = repair_database(
+            workload.instance,
+            workload.constraints,
+            parallel="auto",
             max_workers=workers,
         )
-        assert parallel.selected == serial.selected
-        assert dict(parallel.stats) == dict(serial.stats)
+        assert result.changes == reference.changes
+        assert dict(result.solver_stats) == dict(reference.solver_stats)
 
 
 class TestDetectionEquality:
+    """Detection does not depend on ``parallel``: same violation counts."""
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_find_all_violations(self, backend):
         workload = client_buy_workload(150, inconsistency_ratio=0.4, seed=3)
-        serial = find_all_violations(workload.instance, workload.constraints)
-        parallel = find_all_violations(
-            workload.instance,
-            workload.constraints,
-            executor=as_executor(backend, 4),
+        serial = repair_database(workload.instance, workload.constraints)
+        parallel = repair_database(
+            workload.instance, workload.constraints, parallel=backend, trace=True
         )
-        assert parallel == serial
-        # constraint objects keep their identity even through pickling.
-        assert all(
-            a.constraint is b.constraint for a, b in zip(serial, parallel)
+        assert parallel.violations_before == serial.violations_before > 0
+        assert (
+            parallel.trace.find("detect").tags["violations"]
+            == serial.violations_before
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_anchored_detection(self, backend):
         workload = client_buy_workload(60, inconsistency_ratio=0.0, seed=4)
-        instance = workload.instance.copy()
-        anchors = [
-            instance.insert_row("Client", (70001, 15, 80)),
-            instance.insert_row("Client", (70002, 12, 95)),
-        ]
-        serial = find_violations_involving(
-            instance, workload.constraints, anchors
-        )
-        parallel = find_violations_involving(
-            instance,
-            workload.constraints,
-            anchors,
-            executor=as_executor(backend, 4),
-        )
-        assert parallel == serial
+        commits = []
+        for parallel in (None, backend):
+            repairer = IncrementalRepairer(
+                workload.instance, workload.constraints, parallel=parallel
+            )
+            repairer.insert("Client", (70001, 15, 80))
+            repairer.insert("Client", (70002, 12, 95))
+            commits.append(repairer.commit())
+        serial, parallel = commits
+        assert parallel.violations_before == serial.violations_before > 0
+        assert parallel.changes == serial.changes
 
 
 class TestEngineEquality:
@@ -154,24 +155,10 @@ class TestEngineEquality:
         )
         parallel = repair_database(
             workload.instance, workload.constraints,
-            algorithm="exact-decomposed", parallel="process", max_workers=3,
+            algorithm="exact-decomposed", parallel="auto",
         )
         assert parallel.changes == serial.changes
         assert parallel.cover_weight == serial.cover_weight
-
-    def test_parallel_run_records_runtime_stats(self):
-        workload = client_buy_workload(50, inconsistency_ratio=0.4, seed=7)
-        result = repair_database(
-            workload.instance,
-            workload.constraints,
-            parallel=ExecutionPolicy(backend="process", max_workers=2),
-        )
-        assert result.solver_stats["runtime_backend"] == "process"
-        assert result.solver_stats["runtime_workers"] == 2.0
-        assert result.solver_stats["components"] >= 1.0
-        assert set(result.elapsed_seconds) == {
-            "detect", "reduce", "solve", "apply", "verify",
-        }
 
     def test_serial_run_keeps_legacy_stats(self):
         workload = client_buy_workload(50, inconsistency_ratio=0.4, seed=7)
@@ -188,7 +175,7 @@ class TestEngineEquality:
 
 
 class TestIncrementalEquality:
-    @pytest.mark.parametrize("parallel", [None, "process", "auto", True])
+    @pytest.mark.parametrize("parallel", [None, "auto", True])
     def test_commits_match_serial(self, parallel):
         workload = client_buy_workload(80, inconsistency_ratio=0.2, seed=9)
         reference = IncrementalRepairer(workload.instance, workload.constraints)
@@ -196,7 +183,6 @@ class TestIncrementalEquality:
             workload.instance,
             workload.constraints,
             parallel=parallel,
-            max_workers=3,
         )
         for repairer in (reference, candidate):
             repairer.insert("Client", (80001, 16, 70))

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import RuntimeConfigError
 from repro.repair.engine import repair_database
-from repro.runtime import ExecutionPolicy
+from repro.setcover.decompose import decomposes
 from repro.service import (
     CANCELLED,
     FAILED,
@@ -106,24 +106,11 @@ class TestConcurrentParity:
     def test_auto_parallel_jobs_match_serial(self):
         """Jobs that decompose in-process under ``parallel="auto"``."""
         workload = client_buy_workload(40, inconsistency_ratio=0.4, seed=11)
-        params = {"parallel": "auto", "max_workers": 2}
+        params = {"parallel": "auto"}
         requests = [
             JobRequest(workload.instance, tuple(workload.constraints), params=params)
         ] * 3
         views, service = run_jobs(requests, workers=3)
-        serial = _serial(workload, {})
-        for view in views:
-            assert view.status == SUCCEEDED
-            _assert_same(service._job(view.id).result, serial)
-
-    def test_process_parallel_jobs_match_serial(self):
-        """The process bridge: heavier, so one deterministic case."""
-        workload = client_buy_workload(40, inconsistency_ratio=0.4, seed=11)
-        params = {"parallel": "process", "max_workers": 2}
-        requests = [
-            JobRequest(workload.instance, tuple(workload.constraints), params=params)
-        ] * 2
-        views, service = run_jobs(requests, workers=2)
         serial = _serial(workload, {})
         for view in views:
             assert view.status == SUCCEEDED
@@ -205,7 +192,7 @@ class TestFaultedNeighbours:
         views, service = run_jobs(requests, workers=2)
         assert [v.status for v in views] == [SUCCEEDED, FAILED, SUCCEEDED]
         with pytest.raises(RuntimeConfigError) as expected:
-            ExecutionPolicy.resolve("thread")
+            decomposes("thread")
         assert views[1].error.code == "repair-error"
         assert views[1].error.message == str(expected.value)
         serial = _serial(workload, {})

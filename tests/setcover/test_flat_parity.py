@@ -313,18 +313,6 @@ class TestEngineRegistry:
         assert fallback is flat_modified_greedy_cover
 
 
-class TestSolverTokens:
-    def test_flat_token_round_trip(self):
-        from repro.runtime.workers import resolve_solver, solver_token
-
-        token = solver_token(flat_modified_greedy_cover)
-        assert token == "modified-greedy"
-        assert resolve_solver(token) is flat_modified_greedy_cover
-        # Unregistered callables (the reference solvers) travel as themselves.
-        assert solver_token(greedy_cover) is greedy_cover
-        assert resolve_solver(greedy_cover) is greedy_cover
-
-
 class TestInstanceValidation:
     def test_duplicate_set_ids_raise(self):
         from repro.setcover import WeightedSet

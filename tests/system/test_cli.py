@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.runtime import BACKENDS
+from repro.setcover.decompose import BACKENDS
 from repro.system.cli import build_parser, lint_main, main, repro_main
 
 
@@ -86,19 +86,23 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice: 'thread'" in capsys.readouterr().err
 
-    def test_parallel_with_workers(self, config_path, capsys):
-        args = [config_path, "--parallel", "process", "--max-workers", "2"]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "verified D'|=IC  : True" in out
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["--parallel", "process"], "invalid choice: 'process'"),
+            (["--max-workers", "2"], "--max-workers"),
+        ],
+        ids=["process-backend", "max-workers"],
+    )
+    def test_removed_pool_options_exit_2(self, config_path, capsys, args, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([config_path, *args, "--dry-run"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_parallel_rejects_unknown_backend(self, config_path, capsys):
         with pytest.raises(SystemExit):
             main([config_path, "--parallel", "gpu"])
-
-    def test_max_workers_must_be_positive(self, config_path, capsys):
-        assert main([config_path, "--max-workers", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
 
     def test_solver_engine_flag_removed(self, config_path, capsys):
         """There is one set-cover engine; the old flag is a usage error."""

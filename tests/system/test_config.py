@@ -126,21 +126,14 @@ class TestRuntimeBlock:
     def test_default_is_serial(self):
         config = RepairConfig.from_dict(minimal_config())
         assert config.runtime_backend == "serial"
-        assert config.runtime_workers is None
-        policy = config.execution_policy
-        assert policy.backend == "serial"
-        assert not policy.is_parallel
+        assert not hasattr(config, "runtime_workers")
 
     def test_runtime_block_parsed(self):
         data = minimal_config()
-        data["runtime"] = {"backend": "process", "max_workers": 3}
+        data["runtime"] = {"backend": "auto", "engine": "interpreted"}
         config = RepairConfig.from_dict(data)
-        assert config.runtime_backend == "process"
-        assert config.runtime_workers == 3
-        policy = config.execution_policy
-        assert policy.backend == "process"
-        assert policy.max_workers == 3
-        assert policy.is_parallel
+        assert config.runtime_backend == "auto"
+        assert config.detection_engine == "interpreted"
 
     @pytest.mark.parametrize(
         "runtime, message",
@@ -174,7 +167,7 @@ class TestRuntimeBlock:
             RepairConfig.from_dict(data)
         message = str(exc.value)
         assert f"unknown runtime key(s) ['{unknown}']" in message
-        for valid in ("backend", "max_workers", "engine", "trace", "streaming"):
+        for valid in ("backend", "engine", "trace", "streaming"):
             assert repr(valid) in message
         assert not hasattr(RepairConfig, "solver_engine")
 

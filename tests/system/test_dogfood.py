@@ -17,13 +17,18 @@ census      0                     0                0
 paperdemo   0                     0                0
 tpch        0                     0                1  (tq6 is conditional)
 ==========  ====================  ===============  =======================
+
+``repro-repair CONFIG`` with a retired worker-pool option
+(``--parallel process``, ``--max-workers N``) is a usage error: exit 2.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.system.cli import LINT_WORKLOADS, repro_main
+from repro.system.cli import LINT_WORKLOADS, main, repro_main
 
 #: workload -> (lint rc, compile rc, compile --strict rc)
 EXPECTED = {
@@ -81,3 +86,38 @@ def test_compile_all_workloads_in_one_invocation(
     assert rc == 0
     for workload in LINT_WORKLOADS:
         assert f"workload:{workload}" in captured.out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--parallel", "process"], ["--max-workers", "2"], ["--max-workers", "0"]],
+    ids=["parallel-process", "max-workers-2", "max-workers-0"],
+)
+def test_retired_pool_options_exit_2(
+    args: "list[str]", tmp_path, capsys: pytest.CaptureFixture
+) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "schema": {
+                    "relations": [
+                        {
+                            "name": "Client",
+                            "key": ["id"],
+                            "attributes": [
+                                {"name": "id"},
+                                {"name": "a", "flexible": True},
+                            ],
+                        }
+                    ]
+                },
+                "constraints": ["ic1: NOT(Client(id, a), a < 18)"],
+                "source": {"backend": "memory", "rows": {"Client": [[1, 15]]}},
+            }
+        )
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([str(config), *args])
+    capsys.readouterr()
+    assert exc.value.code == 2

@@ -230,6 +230,27 @@ class TestEquivalenceProperties:
         )
         assert kernel == interpreted
 
+    @pytest.mark.parametrize(
+        "age, text",
+        [
+            (2**63 - 1, "NOT(Buy(id, i, p), Client(id, a, c), p >= a + 4)"),
+            (2**63 - 1, "NOT(Client(i1, a, c), Client(i2, a2, c2), a < a2 - 5)"),
+            (-(2**63), "NOT(Buy(id, i, p), Client(id, a, c), p >= a - 4)"),
+        ],
+        ids=["join-offset-max", "self-join-offset-max", "join-offset-min"],
+    )
+    def test_offsets_at_the_int64_limits(self, age, text):
+        """An offset that would wrap int64 makes the kernel refuse, and
+        ``auto`` then agrees with the interpreted engine."""
+        workload = random_detection_workload(0, n_clients=12)
+        instance = workload.instance
+        instance.replace_tuple(instance.get("Client", (0,)).replace(a=age))
+        constraint = parse_denial(text)
+        interpreted = find_violations(instance, constraint, engine="interpreted")
+        assert find_violations(instance, constraint, engine="auto") == interpreted
+        with pytest.raises(KernelError):
+            find_violations(instance, constraint, engine="kernel")
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_is_consistent_equivalence(self, seed):
@@ -247,7 +268,7 @@ class TestRepairParity:
     @pytest.mark.parametrize(
         "algorithm", ["greedy", "modified-greedy", "layer", "modified-layer"]
     )
-    @pytest.mark.parametrize("parallel", [None, "process"])
+    @pytest.mark.parametrize("parallel", [None, "auto"])
     def test_approximate_solvers(self, algorithm, parallel):
         workload = client_buy_workload(60, seed=9)
         results = {
