@@ -6,8 +6,8 @@ not hold credit above 50 nor make purchases above 25.  The example
 1. generates a dirty sales database and stores it in a sqlite file,
 2. writes the JSON configuration file the repair program consumes,
 3. runs the program (config parser -> connectivity -> mapping -> MWSCP
-   solver -> export), detecting violations through the SQL views of
-   Algorithm 2,
+   solver -> export), detecting violations with the SQL of Algorithm 2
+   run inside sqlite (the ``pushdown`` engine),
 4. updates the database in place and proves it is consistent afterwards.
 
 Run:  python examples/sales_audit.py [n_clients]
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from repro.storage import SqliteBackend
 from repro.system import RepairConfig, RepairProgram
-from repro.violations import is_consistent
+from repro.violations import find_all_violations, is_consistent
 from repro.workloads import client_buy_workload
 
 CONFIG_TEMPLATE = {
@@ -52,7 +52,7 @@ CONFIG_TEMPLATE = {
     ],
     "algorithm": "modified-greedy",
     "metric": "l1",
-    "violation_detection": "sql",
+    "runtime": {"engine": "pushdown"},
     "export": {"mode": "update"},
 }
 
@@ -83,8 +83,8 @@ def main(n_clients: int = 1500) -> None:
     # 4. the sqlite file now satisfies the constraints
     backend = SqliteBackend(str(db_path))
     repaired = backend.load_instance(config.schema)
-    assert is_consistent(repaired, config.constraints)
-    leftover = backend.find_violations(config.schema, config.constraints)
+    assert is_consistent(repaired, config.constraints, engine="pushdown")
+    leftover = find_all_violations(repaired, config.constraints, engine="pushdown")
     assert not leftover
     backend.close()
     print("\nsqlite database verified consistent after in-place update")

@@ -32,10 +32,7 @@ from repro.plan.program import (
     SolverPlan,
     program_fingerprint,
 )
-from repro.plan.runtime import (
-    planned_find_all_violations,
-    planned_find_violations,
-)
+from repro.plan.runtime import planned_find_all_violations
 
 __all__ = [
     "DOWNGRADED",
@@ -52,7 +49,6 @@ __all__ = [
     "default_availability",
     "default_cache_dir",
     "planned_find_all_violations",
-    "planned_find_violations",
     "program_fingerprint",
     "render_plan_text",
 ]

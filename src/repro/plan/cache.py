@@ -81,13 +81,10 @@ class PlanCache:
         self,
         schema: Schema,
         constraints: Sequence[DenialConstraint],
-        *,
-        kernel: bool | None = None,
-        pushdown: bool | None = None,
     ) -> CompiledProgram | None:
         """A cached plan for the live inputs, or ``None`` on a miss."""
         metrics = self.metrics
-        availability = default_availability(kernel=kernel, pushdown=pushdown)
+        availability = default_availability()
         fingerprint = program_fingerprint(schema, tuple(constraints))
         path = self.path_for(fingerprint, availability_signature(availability))
         try:
@@ -125,8 +122,6 @@ class PlanCache:
         schema: Schema,
         constraints: Sequence[DenialConstraint],
         *,
-        kernel: bool | None = None,
-        pushdown: bool | None = None,
         strict: bool = False,
     ) -> "tuple[CompiledProgram, bool]":
         """``(program, hit)``: load from cache or compile and store.
@@ -137,9 +132,7 @@ class PlanCache:
         against the strict gate so ``strict=True`` callers never
         receive a plan a strict compile would have refused.
         """
-        cached = self.load(
-            schema, constraints, kernel=kernel, pushdown=pushdown
-        )
+        cached = self.load(schema, constraints)
         if cached is not None:
             executed = {e.label for e in cached.executed_entries}
             conditional = [
@@ -149,19 +142,9 @@ class PlanCache:
             ]
             if strict and conditional:
                 compile_program(
-                    schema,
-                    constraints,
-                    kernel=kernel,
-                    pushdown=pushdown,
-                    strict=True,
+                    schema, constraints, strict=True
                 )  # raises PlanError with the structured diagnostics
             return cached, True
-        program = compile_program(
-            schema,
-            constraints,
-            kernel=kernel,
-            pushdown=pushdown,
-            strict=strict,
-        )
+        program = compile_program(schema, constraints, strict=strict)
         self.store(program)
         return program, False

@@ -15,13 +15,13 @@ four passes, all pure static analysis over the existing
    coverage but not byte-identity of the computed repair, and byte
    parity with the unplanned path is this compiler's hard contract.
    Their lint diagnostics stay in the plan as advisory provenance.
-2. **engine classification** - per-constraint kernel/pushdown
-   compilability (:func:`repro.lint.compilability.classify_constraint`)
-   plus the static cost model (:mod:`repro.plan.cost`) produce a ranked
-   engine chain; engines the compile-time environment lacks are dropped
-   with ``LINT061`` records, engines the runtime may refuse for data
-   reasons stay in the chain (the fallback is preserved and recorded at
-   run time).
+2. **engine classification** - each chain is the detector's ``auto``
+   ladder (:func:`repro.violations.detector.engine_chain`) minus the
+   engines the compile-time environment lacks (``LINT061`` records);
+   kernel/pushdown compilability (:func:`repro.lint.compilability.
+   classify_constraint`) marks the engines the runtime may refuse, and
+   the static cost estimate (:mod:`repro.plan.cost`) is kept for
+   ``repro explain-plan``.
 3. **solver pre-selection** - locality verdict, the predicted MWSC
    max-frequency bound ``f`` (:mod:`repro.lint.bounds`) are resolved
    once.
@@ -47,8 +47,9 @@ from repro.lint.bounds import builtin_attribute_overlap
 from repro.lint.compilability import classify_constraint
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.satisfiability import body_is_satisfiable
+from repro.model.columnar import kernel_available
 from repro.model.schema import Schema
-from repro.plan.cost import estimate_cost, rank_engines
+from repro.plan.cost import estimate_cost
 from repro.plan.program import (
     DOWNGRADED,
     ELIMINATED,
@@ -59,7 +60,7 @@ from repro.plan.program import (
     SolverPlan,
     program_fingerprint,
 )
-from repro.violations.kernels import kernel_available
+from repro.violations.detector import AUTO_CHAIN, engine_chain
 
 
 def _predicted_frequency(
@@ -86,31 +87,24 @@ def _predicted_frequency(
     return total
 
 
-def default_availability(
-    *,
-    kernel: bool | None = None,
-    pushdown: bool | None = None,
-) -> dict[str, bool]:
+def default_availability() -> dict[str, bool]:
     """The compile-time engine-availability map.
 
-    ``kernel`` defaults to the NumPy import probe.  ``pushdown``
-    defaults to ``True``: backend residency is a property of the
-    *instance*, not the configuration, so the plan keeps pushdown in
-    the chains and the runtime skips it (recording the downgrade) for
-    non-resident instances - exactly the ``auto`` engine's gate.
+    ``kernel`` is the NumPy import probe.  ``pushdown`` is always
+    ``True``: backend residency is a property of the *instance*, not
+    the environment, so the plan keeps pushdown in the chains and the
+    detector leaves it out for non-resident instances.  The map only
+    shapes the plan's informational ``engines``/``conditional`` fields,
+    its ``LINT061`` notes and the plan-cache key; execution walks the
+    detector's own ladder.
     """
-    return {
-        "kernel": kernel_available() if kernel is None else bool(kernel),
-        "pushdown": True if pushdown is None else bool(pushdown),
-    }
+    return {"kernel": kernel_available(), "pushdown": True}
 
 
 def compile_program(
     schema: Schema,
     constraints: Iterable[DenialConstraint],
     *,
-    kernel: bool | None = None,
-    pushdown: bool | None = None,
     strict: bool = False,
 ) -> CompiledProgram:
     """Compile ``(schema, constraints)`` into a :class:`CompiledProgram`.
@@ -121,7 +115,7 @@ def compile_program(
     is only conditionally compilable (see the module docstring).
     """
     constraints = tuple(constraints)
-    availability = default_availability(kernel=kernel, pushdown=pushdown)
+    availability = default_availability()
     lint = lint_constraints(schema, constraints)
 
     invalid = lint.by_code("LINT001")
@@ -137,6 +131,10 @@ def compile_program(
     # can actually produce violations; dead bodies contribute none.
     live = [c for c, ok in zip(constraints, satisfiable) if ok]
     overlap = builtin_attribute_overlap(live, schema)
+    chain = engine_chain(
+        pushdown=availability["pushdown"], kernel=availability["kernel"]
+    )
+    dropped = tuple(engine for engine in AUTO_CHAIN if engine not in chain)
     provenance: list[Diagnostic] = []
     strict_blockers: list[Diagnostic] = []
     entries: list[EnginePlan] = []
@@ -168,24 +166,15 @@ def compile_program(
                     action=SKIP,
                     engines=(),
                     conditional=(),
-                    cost=estimate_cost(constraint).to_dict(),
+                    cost=estimate_cost(constraint),
                     predicted_frequency=predicted,
                 )
             )
             continue
 
         classification = classify_constraint(constraint, schema)
-        estimate = estimate_cost(constraint)
-        chain, dropped = rank_engines(
-            estimate,
-            kernel_available=availability["kernel"],
-            pushdown_available=availability["pushdown"],
-        )
-        conditional = tuple(
-            engine
-            for engine in chain
-            if engine in ("kernel", "pushdown")
-            and not classification.unconditional
+        conditional = (
+            () if classification.unconditional else chain[:-1]
         )
         for engine in dropped:
             provenance.append(
@@ -241,7 +230,7 @@ def compile_program(
                 action=EXECUTE,
                 engines=chain,
                 conditional=conditional,
-                cost=estimate.to_dict(),
+                cost=estimate_cost(constraint),
                 predicted_frequency=predicted,
             )
         )

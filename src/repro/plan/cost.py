@@ -1,6 +1,6 @@
-"""Static per-constraint cost model for engine ranking.
+"""Static per-constraint cost estimate, reported by ``repro explain-plan``.
 
-Ranks the detection engines for one constraint **before any data is
+Estimates the detection work for one constraint **before any data is
 loaded**, from three statically knowable signals:
 
 * **atom count** - each database atom joins a whole relation, so the
@@ -12,31 +12,23 @@ loaded**, from three statically knowable signals:
   ``>=``) prune less, disequalities (``!=``) barely prune, and a
   constraint with no built-ins at all is a raw scan/cross product.
 
-The per-engine weights encode the relative per-row cost measured by the
-committed benchmark snapshots (``benchmarks/results/BENCH_*.json``):
-SQL pushdown ≥3x faster than the columnar kernel at TPC-H scale
-(``BENCH_pushdown.json``), the kernel 3.6-4.3x faster than the
-interpreted enumeration (``BENCH_detect.json``).  The model only has to
-*order* engines per constraint - absolute cost is data-dependent and
-deliberately out of scope - so coarse, stable weights are the right
-tool.
+The per-engine ``scores`` scale that work by the relative per-row cost
+measured by the committed benchmark snapshots
+(``benchmarks/results/BENCH_*.json``): SQL pushdown ≥3x faster than the
+columnar kernel at TPC-H scale (``BENCH_pushdown.json``), the kernel
+3.6-4.3x faster than the interpreted enumeration (``BENCH_detect.json``).
+The work is always positive, so the scores always order the engines as
+the detector's fixed ladder does
+(:func:`repro.violations.detector.engine_chain`); they explain the
+ladder, they do not choose it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Mapping
 
 from repro.constraints.atoms import Comparator
 from repro.constraints.denial import DenialConstraint
-
-#: Relative per-row work of each engine (lower = faster), justified by
-#: the committed BENCH snapshots (see module docstring).
-ENGINE_WEIGHTS: Mapping[str, float] = {
-    "pushdown": 1.0,
-    "kernel": 3.0,
-    "interpreted": 12.0,
-}
 
 #: Selectivity classes, most selective first.
 EQUALITY = "equality"
@@ -59,26 +51,6 @@ _ORDER_COMPARATORS = (
 )
 
 
-@dataclass(frozen=True)
-class CostEstimate:
-    """The static cost signals and per-engine scores for one constraint."""
-
-    atoms: int
-    join_arity: int
-    selectivity_class: str
-    work: float
-    scores: Mapping[str, float]
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "atoms": self.atoms,
-            "join_arity": self.join_arity,
-            "selectivity_class": self.selectivity_class,
-            "work": self.work,
-            "scores": dict(self.scores),
-        }
-
-
 def selectivity_class(constraint: DenialConstraint) -> str:
     """The most selective predicate class the constraint declares."""
     comparators = [b.comparator for b in constraint.builtins]
@@ -92,50 +64,26 @@ def selectivity_class(constraint: DenialConstraint) -> str:
     return SCAN
 
 
-def estimate_cost(constraint: DenialConstraint) -> CostEstimate:
-    """Static cost estimate; ``scores`` maps engine name to ranked cost."""
+def estimate_cost(constraint: DenialConstraint) -> dict[str, Any]:
+    """The static cost signals and per-engine scores of one constraint.
+
+    The JSON-ready form stored as a plan entry's ``cost``: ``atoms``,
+    ``join_arity``, ``selectivity_class``, ``work`` and ``scores``
+    (engine name to weighted work).
+    """
     atoms = len(constraint.relation_atoms)
     join_arity = len(constraint.join_variables)
     cls = selectivity_class(constraint)
     work = float(atoms) * float(1 + join_arity) * _CLASS_FACTOR[cls]
-    scores = {
-        engine: work * weight for engine, weight in ENGINE_WEIGHTS.items()
+    return {
+        "atoms": atoms,
+        "join_arity": join_arity,
+        "selectivity_class": cls,
+        "work": work,
+        # Relative per-row cost of each engine (see the module docstring).
+        "scores": {
+            "pushdown": work * 1.0,
+            "kernel": work * 3.0,
+            "interpreted": work * 12.0,
+        },
     }
-    return CostEstimate(
-        atoms=atoms,
-        join_arity=join_arity,
-        selectivity_class=cls,
-        work=work,
-        scores=scores,
-    )
-
-
-def rank_engines(
-    estimate: CostEstimate,
-    *,
-    kernel_available: bool,
-    pushdown_available: bool,
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """``(chain, dropped)``: the ranked execution chain for one constraint.
-
-    ``chain`` lists the statically admissible engines in ascending
-    score order and always ends with ``"interpreted"`` (the engine that
-    can never refuse).  ``dropped`` lists engines removed because the
-    compile-time environment lacks them (``LINT061`` downgrades) -
-    *not* engines the runtime may refuse for data reasons; those stay
-    in the chain with the runtime-refusal fallback preserved.
-    """
-    ranked = sorted(estimate.scores, key=lambda e: (estimate.scores[e], e))
-    chain: list[str] = []
-    dropped: list[str] = []
-    for engine in ranked:
-        if engine == "kernel" and not kernel_available:
-            dropped.append(engine)
-            continue
-        if engine == "pushdown" and not pushdown_available:
-            dropped.append(engine)
-            continue
-        chain.append(engine)
-    if "interpreted" not in chain:
-        chain.append("interpreted")
-    return tuple(chain), tuple(dropped)

@@ -8,7 +8,7 @@ from repro.plan.program import CompiledProgram
 
 
 def _format_cost(cost: "dict[str, Any]") -> str:
-    """Compact one-line cost summary: signals plus ranked work."""
+    """Compact one-line cost summary: signals plus estimated work."""
     return (
         f"atoms={cost.get('atoms', '?')} "
         f"joins={cost.get('join_arity', '?')} "

@@ -13,7 +13,7 @@ order - violation output order follows constraint order, so order is
 semantic).  Engine *availability* (NumPy importable, pushdown assumed)
 deliberately stays **out** of the fingerprint: it keys the on-disk cache
 separately (:mod:`repro.plan.cache`), so a dependency flip invalidates
-cached engine rankings without pretending the constraint program itself
+cached engine chains without pretending the constraint program itself
 changed.
 
 A plan handed to the runtime is validated with :meth:`CompiledProgram.
@@ -33,6 +33,7 @@ from repro.constraints.denial import DenialConstraint
 from repro.exceptions import PlanError, StalePlanError
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.model.schema import Schema
+from repro.violations.detector import AUTO_CHAIN
 
 #: Serialization format version; bumped on incompatible artifact changes.
 PLAN_FORMAT_VERSION = 1
@@ -112,16 +113,16 @@ def availability_signature(availability: Mapping[str, bool]) -> str:
 class EnginePlan:
     """The static verdict for one constraint.
 
-    ``engines`` is the ranked execution chain (most to least preferred);
-    the runtime tries it left to right, falling through on
-    :class:`~repro.exceptions.KernelError` /
-    :class:`~repro.exceptions.PushdownError`, so the chain always ends
-    in ``"interpreted"`` for executed entries.  ``conditional`` names
+    ``engines`` is the detector's ``auto`` engine chain under the
+    compile-time availability (:func:`repro.violations.detector.
+    engine_chain`, most to least preferred), so it always ends in
+    ``"interpreted"`` for executed entries; it documents the run, which
+    walks the same ladder with or without a plan.  ``conditional`` names
     chain engines whose execution is data-dependent (``LINT050`` /
     ``LINT051``): statically admissible, but the runtime may refuse
-    them.  ``cost`` carries the static estimate that produced the
-    ranking (atom count, join arity, selectivity class, per-engine
-    scores).
+    them.  ``cost`` carries the static estimate shown by ``repro
+    explain-plan`` (atom count, join arity, selectivity class,
+    per-engine scores).
     """
 
     index: int
@@ -314,7 +315,7 @@ class CompiledProgram:
                 f"unsupported plan format version {version} "
                 f"(this build reads version {PLAN_FORMAT_VERSION})"
             )
-        return cls(
+        program = cls(
             fingerprint=str(data["fingerprint"]),
             availability={
                 str(k): bool(v) for k, v in dict(data["availability"]).items()
@@ -329,6 +330,15 @@ class CompiledProgram:
             ),
             version=version,
         )
+        for entry in program.executed_entries:
+            chain = entry.engines
+            if chain[-1:] != ("interpreted",) or not set(chain) <= set(AUTO_CHAIN):
+                raise PlanError(
+                    f"corrupt plan: {entry.label} has engine chain {list(chain)}; "
+                    f"an executed chain names engines from {list(AUTO_CHAIN)} "
+                    "and ends in 'interpreted'"
+                )
+        return program
 
     @classmethod
     def from_json(cls, text: str) -> "CompiledProgram":

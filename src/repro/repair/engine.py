@@ -39,8 +39,12 @@ from repro.repair.builder import RepairProblem, build_repair_problem
 from repro.repair.result import RepairResult
 from repro.setcover.decompose import decomposes, solve_by_components
 from repro.setcover.solvers import DEFAULT_SOLVER, component_solver, get_solver
-from repro.violations.detector import ViolationSet, find_all_violations, is_consistent
-from repro.violations.kernels import resolve_engine
+from repro.violations.detector import (
+    ViolationSet,
+    find_all_violations,
+    is_consistent,
+    resolve_engine,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -123,10 +127,12 @@ def repair_database(
         >= 1), but it changes nothing: there is no worker pool, so the
         repair is the same for every value.
     engine:
-        Violation-detection engine: ``auto`` (default; SQL pushdown when
-        the instance is backend-resident, else the columnar kernel when
-        NumPy is importable, interpreted otherwise), ``pushdown``,
-        ``kernel``, or ``interpreted``.  All engines yield byte-identical
+        Violation-detection engine: ``auto`` (default; the ladder SQL
+        pushdown when the instance is backend-resident, then the
+        columnar kernel when NumPy is importable, then interpreted,
+        each constraint falling through on a refusal), ``pushdown``,
+        ``kernel``, or ``interpreted`` (see :func:`repro.violations.
+        detector.engine_chain`).  All engines yield byte-identical
         violations, hence identical repairs; the choice also applies to
         post-repair verification (where ``pushdown`` downgrades to
         ``auto``: the repaired copy is no longer backend-resident).
@@ -148,14 +154,12 @@ def repair_database(
         when the plan proved it, statically dead constraints are
         eliminated from detection and verification (provably
         byte-identical - their violation sets are empty on every
-        instance), and - with ``engine="auto"`` - each constraint runs
-        its planned engine chain with the runtime-refusal fallback
-        preserved and recorded (``plan_engine_downgrades`` counter).  An explicit ``engine``
-        overrides the planned chains.  A plan whose fingerprint does
-        not match raises :class:`~repro.exceptions.StalePlanError`;
-        ``simplify=True`` is incompatible (it would change the
-        constraint set out from under the fingerprint).  Planned and
-        unplanned runs produce byte-identical repairs.
+        instance).  Detection walks the same ``engine`` chain as an
+        unplanned run.  A plan whose fingerprint does not match raises
+        :class:`~repro.exceptions.StalePlanError`; ``simplify=True`` is
+        incompatible (it would change the constraint set out from under
+        the fingerprint).  Planned and unplanned runs produce
+        byte-identical repairs.
 
     Returns
     -------
@@ -237,27 +241,20 @@ def repair_database(
             )
         )
 
+        # Statically dead constraints can never be violated, so a planned
+        # run detects and verifies only the executed subset (identical
+        # result, less work).
+        executed = (
+            plan.executed_constraints(constraints)
+            if plan is not None
+            else constraints
+        )
         started = time.perf_counter()
         with tracer.span("detect", category="stage") as detect_span:
             if violations is None:
-                if plan is not None and engine == "auto":
-                    from repro.plan.runtime import planned_find_all_violations
-
-                    violations = planned_find_all_violations(
-                        instance, constraints, plan
-                    )
-                elif plan is not None:
-                    # Explicit engine request wins over the planned
-                    # chains; dead constraints stay eliminated.
-                    violations = find_all_violations(
-                        instance,
-                        plan.executed_constraints(constraints),
-                        engine=engine,
-                    )
-                else:
-                    violations = find_all_violations(
-                        instance, constraints, engine=engine
-                    )
+                violations = find_all_violations(
+                    instance, executed, engine=engine
+                )
             detect_span.tag(violations=len(violations), work=len(instance))
         if tracer.enabled:
             from repro.violations.degree import degree_of_database
@@ -351,20 +348,10 @@ def repair_database(
             # backend-resident, so a strict pushdown request downgrades to
             # auto here instead of failing its own verification.
             verify_engine = "auto" if engine == "pushdown" else engine
-            # Statically dead constraints can never be violated, so the
-            # planned path verifies only the executed subset (identical
-            # verdict, less work).
-            verify_constraints = (
-                plan.executed_constraints(constraints)
-                if plan is not None
-                else constraints
-            )
             with tracer.span("verify", category="stage") as verify_span:
-                if not is_consistent(
-                    repaired, verify_constraints, engine=verify_engine
-                ):
+                if not is_consistent(repaired, executed, engine=verify_engine):
                     remaining = find_all_violations(
-                        repaired, verify_constraints, engine=verify_engine
+                        repaired, executed, engine=verify_engine
                     )
                     raise RepairError(
                         f"repair left {len(remaining)} violations - the constraint "

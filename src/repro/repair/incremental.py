@@ -47,9 +47,9 @@ from repro.violations.detector import (
     find_all_violations,
     find_violations_involving,
     is_consistent,
+    resolve_engine,
 )
 from repro.violations.indexes import JoinIndexCache
-from repro.violations.kernels import resolve_engine
 
 
 class IncrementalRepairer:
@@ -96,14 +96,11 @@ class IncrementalRepairer:
         )
         self._algorithm = algorithm
         self._metric = get_metric(metric)
-        # Whole-instance passes (initial repair, verify) honour ``engine``
-        # as-is; anchored commit detection hands the detector its join
-        # indexes, so ``auto`` resolves to the interpreted Δ-proportional
-        # path there (a per-commit columnar snapshot rebuild would cost
-        # O(|D|)).  ``engine="kernel"`` forces the kernel everywhere.
-        # The repairer works on private copies that are never backend-
-        # resident, so a strict ``pushdown`` request downgrades to ``auto``
-        # (after name validation) rather than failing every commit.
+        # Anchored commit detection passes its join indexes, so ``auto``
+        # runs only the interpreted engine there (see
+        # ``find_violations_involving``).  The private working copies are
+        # never backend-resident, so a (name-checked) ``pushdown``
+        # request runs as ``auto`` rather than failing every commit.
         resolve_engine(engine)
         self._engine = "auto" if engine == "pushdown" else engine
         # ``parallel`` means what it means in ``repair_database``: solve

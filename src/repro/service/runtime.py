@@ -506,7 +506,14 @@ class RepairService:
                     cache.invalidate(VIOLATIONS, job.fingerprint, job.data_token)
                     violations = None
                 if violations is None:
-                    violations = self._detect(job, plan, engine)
+                    # The engine's own detection (its ``engine`` chain over
+                    # the plan's surviving constraints), so cached
+                    # violations are byte-identical to uncached ones.
+                    from repro.plan import runtime as plan_runtime
+
+                    violations = plan_runtime.planned_find_all_violations(
+                        job.instance, job.constraints, plan, engine=engine
+                    )
                     cache.put(
                         VIOLATIONS, job.fingerprint, violations, job.data_token
                     )
@@ -527,24 +534,6 @@ class RepairService:
         if tracer.enabled:
             job.trace = tracer.finish()
         return result
-
-    def _detect(self, job: Job, plan, engine: str):
-        """Detect violations exactly as the engine itself would.
-
-        ``engine="auto"`` takes the planned chains; an explicit engine
-        request runs that engine over the plan's surviving constraints —
-        mirroring :func:`repro.repair.engine.repair_database` so cached
-        violations are byte-identical to uncached detection.
-        """
-        if engine == "auto":
-            from repro.plan.runtime import planned_find_all_violations
-
-            return planned_find_all_violations(job.instance, job.constraints, plan)
-        from repro.violations.detector import find_all_violations
-
-        return find_all_violations(
-            job.instance, plan.executed_constraints(job.constraints), engine=engine
-        )
 
 
 def _violations_valid(instance: DatabaseInstance, violations) -> bool:

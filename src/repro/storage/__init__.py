@@ -3,9 +3,10 @@
 The paper's system loads tuples from a DBMS (Oracle 10g via JDBC) and
 evaluates per-constraint SQL violation views inside it.  We provide the
 same seam behind a small protocol: an in-memory backend (the default for
-library use) and a sqlite backend that executes the Algorithm-2 SQL views
-and implements the three repair-export modes of the configuration file
-(update in place / insert into new tables / dump to text).
+library use) and a sqlite backend that executes the Algorithm-2 SQL for
+the ``pushdown`` detection engine and implements the three repair-export
+modes of the configuration file (update in place / insert into new
+tables / dump to text).
 """
 
 from repro.storage.base import Backend, ExportMode

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
-from repro.constraints.denial import DenialConstraint
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
 from repro.repair.result import RepairResult
-from repro.violations.detector import ViolationSet
 
 
 class ExportMode(enum.Enum):
@@ -32,26 +30,14 @@ class Backend(Protocol):
     """The database-connectivity seam of the repair program.
 
     Implementations must be able to load the instance into memory (the
-    mapping component operates in main memory, as in the paper), detect
-    violation sets - by SQL views or otherwise - and export a repair.
+    mapping component operates in main memory, as in the paper) and
+    export a repair.  SQL backends also serve the ``pushdown`` detection
+    engine (:mod:`repro.violations.pushdown`), which runs the violation
+    SQL inside the database for the instances they load.
     """
 
     def load_instance(self, schema: Schema) -> DatabaseInstance:
         """Load all tuples into an in-memory instance."""
-        ...
-
-    def find_violations(
-        self,
-        schema: Schema,
-        constraints: Iterable[DenialConstraint],
-        instance: DatabaseInstance | None = None,
-    ) -> tuple[ViolationSet, ...]:
-        """Compute ``I(D, IC)`` using the backend's query engine.
-
-        ``instance`` is this backend's :meth:`load_instance` result,
-        unmodified since, when the caller already holds one: witnesses
-        resolve against it instead of a fresh load.
-        """
         ...
 
     def export_repair(

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable
 
-from repro.constraints.denial import DenialConstraint
 from repro.exceptions import BackendError
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import Relation, Schema
 from repro.repair.result import RepairResult
 from repro.storage.base import ExportMode
-from repro.violations.detector import ViolationSet, find_all_violations
 
 
 def _parse_cell(relation: Relation, attribute_index: int, text: str):
@@ -97,17 +94,6 @@ class CsvBackend:
                 DatabaseInstance.from_rows(schema, {relation.name: rows})
                 raise
         return rows
-
-    def find_violations(
-        self,
-        schema: Schema,
-        constraints: Iterable[DenialConstraint],
-        instance: DatabaseInstance | None = None,
-    ) -> tuple[ViolationSet, ...]:
-        """In-memory detection over the loaded files."""
-        if instance is None:
-            instance = self.load_instance(schema)
-        return find_all_violations(instance, constraints)
 
     def export_repair(
         self,

@@ -19,7 +19,7 @@ still need a runtime scan.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 try:  # pragma: no cover - exercised only when the extra is installed
     import duckdb
@@ -40,7 +40,6 @@ from repro.model.tuples import Tuple
 from repro.repair.result import RepairResult
 from repro.storage.base import ExportMode
 from repro.storage.witnesses import stream_witness_sets
-from repro.violations.detector import ViolationSet, _ordered_violation_sets
 from repro.violations.pushdown import (
     BINDING_ATTR,
     bind_backend,
@@ -252,32 +251,6 @@ class DuckDBBackend:
             raise BackendError(
                 f"cannot read table {relation.name!r}: {error}"
             ) from error
-
-    def find_violations(
-        self,
-        schema: Schema,
-        constraints: Iterable[DenialConstraint],
-        instance: DatabaseInstance | None = None,
-    ) -> tuple[ViolationSet, ...]:
-        """Run the Algorithm-2 SQL and assemble minimal violation sets."""
-        if instance is None:
-            instance = self.load_instance(schema)
-        results: list[ViolationSet] = []
-        cursor = self._cursor()
-        for constraint in constraints:
-            compiled = violation_query(constraint, schema)
-            try:
-                cursor.execute(compiled.sql)
-                used_sets = stream_witness_sets(
-                    cursor.fetchmany, compiled, instance
-                )
-            except duckdb.Error as error:
-                raise BackendError(
-                    f"violation query failed for {constraint.label}: "
-                    f"{compiled.sql!r}: {error}"
-                ) from error
-            results.extend(_ordered_violation_sets(used_sets, constraint))
-        return tuple(results)
 
     def export_repair(
         self,

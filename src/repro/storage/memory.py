@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-from repro.constraints.denial import DenialConstraint
 from repro.exceptions import BackendError
 from repro.model.instance import DatabaseInstance
 from repro.model.schema import Schema
 from repro.repair.result import RepairResult
 from repro.storage.base import ExportMode
-from repro.violations.detector import ViolationSet, find_all_violations
 
 
 class MemoryBackend:
@@ -41,17 +39,6 @@ class MemoryBackend:
                 "memory backend holds an instance of a different schema"
             )
         return self._instance.copy()
-
-    def find_violations(
-        self,
-        schema: Schema,
-        constraints: Iterable[DenialConstraint],
-        instance: DatabaseInstance | None = None,
-    ) -> tuple[ViolationSet, ...]:
-        """In-memory join-based violation detection."""
-        if instance is None:
-            instance = self.load_instance(schema)
-        return find_all_violations(instance, constraints)
 
     def export_repair(
         self,

@@ -24,7 +24,6 @@ from repro.model.tuples import Tuple
 from repro.repair.result import RepairResult
 from repro.storage.base import ExportMode
 from repro.storage.witnesses import stream_witness_sets
-from repro.violations.detector import ViolationSet, _ordered_violation_sets
 from repro.violations.pushdown import (
     BINDING_ATTR,
     bind_backend,
@@ -180,36 +179,6 @@ class SqliteBackend:
             raise BackendError(
                 f"cannot read table {relation.name!r}: {error}"
             ) from error
-
-    def find_violations(
-        self,
-        schema: Schema,
-        constraints: Iterable[DenialConstraint],
-        instance: DatabaseInstance | None = None,
-    ) -> tuple[ViolationSet, ...]:
-        """Run the Algorithm-2 SQL views and assemble minimal violation sets.
-
-        Witness rows stream in bounded batches
-        (:mod:`repro.storage.witnesses`) instead of one ``fetchall``, and
-        funnel through the detector's shared minimality+ordering reduction
-        - the same path the in-memory engines take.
-        """
-        if instance is None:
-            instance = self.load_instance(schema)
-        results: list[ViolationSet] = []
-        cursor = self._cursor()
-        for constraint in constraints:
-            compiled = violation_query(constraint, schema)
-            try:
-                cursor.execute(compiled.sql)
-                used_sets = stream_witness_sets(cursor.fetchmany, compiled, instance)
-            except sqlite3.Error as error:
-                raise BackendError(
-                    f"violation query failed for {constraint.label}: "
-                    f"{compiled.sql!r}: {error}"
-                ) from error
-            results.extend(_ordered_violation_sets(used_sets, constraint))
-        return tuple(results)
 
     def export_repair(
         self,

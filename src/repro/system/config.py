@@ -24,7 +24,6 @@ into text file)."*  We use JSON::
       ],
       "algorithm": "modified-greedy",
       "metric": "l1",
-      "violation_detection": "memory",
       "runtime": {"backend": "auto", "engine": "auto"},
       "source": {"backend": "sqlite", "path": "clients.db"},
       "export": {"mode": "update"}
@@ -38,12 +37,14 @@ into text file)."*  We use JSON::
 see :data:`~repro.setcover.decompose.BACKENDS`), plus the
 violation-detection ``engine``
 (``auto`` / ``kernel`` / ``interpreted`` / ``pushdown``, see
-:mod:`repro.violations.kernels`); it defaults to the serial pipeline
-with the ``auto`` engine, which resolves to ``pushdown`` for instances
-loaded from a SQL source backend.  Unknown keys in the
-``runtime``, ``runtime.streaming``, ``lint``, ``plan`` and ``service``
-blocks are rejected with a :class:`~repro.exceptions.ConfigError` naming
-the valid ones.
+:func:`repro.violations.detector.engine_chain`); it defaults to the
+serial pipeline with the ``auto`` engine, which tries ``pushdown``
+first for instances loaded from a SQL source backend; ``"engine":
+"pushdown"`` alone is in-database detection (a retired top-level
+detection key gets a hint naming ``runtime.engine``).  Unknown keys at
+the top level and in the ``runtime``, ``runtime.streaming``, ``lint``,
+``plan`` and ``service`` blocks are rejected with a
+:class:`~repro.exceptions.ConfigError` naming the valid ones.
 
 ``runtime.trace`` switches on the observability layer
 (:mod:`repro.obs`): either a boolean, or an object
@@ -94,8 +95,10 @@ from repro.setcover.solvers import SOLVERS
 from repro.storage.base import ExportMode
 from repro.violations.kernels import ENGINES as _VALID_ENGINES
 
-_VALID_DETECTION = ("memory", "sql")
-
+_TOP_LEVEL_KEYS = {
+    "schema", "constraints", "algorithm", "metric", "source", "export",
+    "repair_semantics", "table_weights", "runtime", "lint", "plan", "service",
+}
 
 _VALID_SEMANTICS = ("update", "delete", "mixed")
 
@@ -119,7 +122,6 @@ class RepairConfig:
     constraints: tuple[DenialConstraint, ...]
     algorithm: str = "modified-greedy"
     metric: str = "l1"
-    violation_detection: str = "memory"
     source: Mapping[str, Any] = field(default_factory=dict)
     export_mode: ExportMode = ExportMode.UPDATE
     export_destination: str | None = None
@@ -184,6 +186,15 @@ class RepairConfig:
         """Build a config from a parsed JSON object."""
         if not isinstance(data, Mapping):
             raise ConfigError("configuration root must be a JSON object")
+        unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
+        if any("detection" in key for key in unknown):
+            # The retired top-level detection switch and look-alikes.
+            raise ConfigError(
+                f"unknown top-level key(s) {unknown}: violation detection "
+                'is chosen by runtime.engine ("pushdown" runs it inside the '
+                'source database; "auto" tries that first)'
+            )
+        _reject_unknown("top-level", data, _TOP_LEVEL_KEYS)
 
         schema = _parse_schema(data.get("schema"))
         constraints = _parse_constraints(data.get("constraints"), schema)
@@ -198,13 +209,6 @@ class RepairConfig:
             get_metric(metric)
         except Exception as error:
             raise ConfigError(str(error))
-
-        detection = data.get("violation_detection", "memory")
-        if detection not in _VALID_DETECTION:
-            raise ConfigError(
-                f"violation_detection must be one of {_VALID_DETECTION}, "
-                f"got {detection!r}"
-            )
 
         source = data.get("source", {"backend": "memory", "rows": {}})
         if not isinstance(source, Mapping) or "backend" not in source:
@@ -306,7 +310,6 @@ class RepairConfig:
             constraints=constraints,
             algorithm=algorithm,
             metric=metric,
-            violation_detection=detection,
             source=dict(source),
             export_mode=export_mode,
             export_destination=destination,

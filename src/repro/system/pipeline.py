@@ -156,17 +156,11 @@ class RepairProgram:
         if self.config.streaming_enabled:
             return self._run_streaming(instance, export, plan, plan_note)
 
-        violations = None
-        if self.config.violation_detection == "sql":
-            violations = self.backend.find_violations(
-                self.config.schema, self.config.constraints, instance
-            )
         result = repair_database(
             instance,
             self.config.constraints,
             algorithm=self.config.algorithm,
             metric=self.config.metric,
-            violations=violations,
             parallel=self.config.runtime_backend,
             engine=self.config.detection_engine,
             trace=self.config.trace_enabled,

@@ -2,10 +2,12 @@
 
 from repro.violations.detector import (
     ViolationSet,
+    engine_chain,
     find_all_violations,
     find_violations,
     find_violations_involving,
     is_consistent,
+    resolve_engine,
     violations_of_tuple,
 )
 from repro.violations.degree import (
@@ -14,7 +16,7 @@ from repro.violations.degree import (
     degree_of_tuple,
     inconsistency_profile,
 )
-from repro.violations.kernels import ENGINES, kernel_witnesses, resolve_engine
+from repro.violations.kernels import ENGINES, kernel_witnesses
 from repro.violations.pushdown import (
     bind_backend,
     bound_backend,
@@ -33,6 +35,7 @@ __all__ = [
     "resolve_engine",
     "unbind_backend",
     "ViolationSet",
+    "engine_chain",
     "find_all_violations",
     "find_violations",
     "find_violations_involving",

@@ -12,9 +12,8 @@ in-memory equivalent of the SQL views of Algorithm 2 - the sqlite backend
 in :mod:`repro.storage.sqlite` runs the actual SQL instead).  The used
 tuple sets of the assignments are then reduced to the *minimal* ones.
 
-Every public entry point takes an ``engine`` argument choosing between
-this *interpreted* enumeration and the columnar *kernel* executor of
-:mod:`repro.violations.kernels`:
+Every public entry point takes an ``engine`` argument naming an engine
+chain (:func:`engine_chain`) that one walker (:func:`_walk`) runs:
 
 * ``"interpreted"`` - the backtracking join above, always available;
 * ``"kernel"`` - vectorized NumPy execution of the compiled plan; raises
@@ -22,10 +21,11 @@ this *interpreted* enumeration and the columnar *kernel* executor of
   with no vectorized form;
 * ``"pushdown"`` - the Algorithm-2 SQL executed *inside* the storage
   backend (:mod:`repro.violations.pushdown`); needs a backend-resident
-  instance and raises :class:`~repro.exceptions.PushdownError` otherwise;
-* ``"auto"`` (default) - pushdown when the instance is backend-resident,
-  else the kernel when NumPy is importable, falling back per constraint
-  to the interpreted path on :class:`KernelError`/:class:`PushdownError`.
+  instance and raises :class:`~repro.exceptions.PushdownError` otherwise
+  or where SQL semantics would diverge from Python's on the data;
+* ``"auto"`` (default) - the ladder pushdown > kernel > interpreted
+  minus the engines that cannot run; a refusing engine hands the
+  constraint to the next one.  An explicit engine runs alone.
 
 All engines produce byte-identical results: each computes the same
 satisfying-assignment witness sets.  The interpreted and pushdown engines
@@ -40,11 +40,12 @@ oracle.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+import operator
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.constraints.denial import DenialConstraint
-from repro.exceptions import KernelError, PushdownError
-from repro.model.columnar import require_numpy
+from repro.exceptions import ConfigError, InstanceError, KernelError, PushdownError
+from repro.model.columnar import kernel_available, require_numpy
 from repro.model.instance import DatabaseInstance
 from repro.model.tuples import Tuple
 from repro.obs import current_tracer
@@ -56,14 +57,17 @@ from repro.violations.columns import (
     rank_rows,
 )
 from repro.violations.kernels import (
+    ENGINES,
     KernelJoin,
     anchored_kernel_witnesses,
-    kernel_available,
     kernel_witnesses,
-    resolve_engine,
     too_many_witnesses,
 )
-from repro.violations.pushdown import pushdown_has_witness, pushdown_used_sets
+from repro.violations.pushdown import (
+    pushdown_has_witness,
+    pushdown_ready,
+    pushdown_used_sets,
+)
 
 
 def _local_predicate(constraint: DenialConstraint, atom_index: int):
@@ -137,10 +141,25 @@ def _satisfying_assignments(
     them instead of scanning the relation to build throwaway indexes -
     with every atom either restricted or index-reachable, enumeration
     never touches the full instance (the incremental-repair fast path).
+
+    Values a built-in cannot compare raise :class:`InstanceError`
+    (:func:`_incomparable`), caught once per enumeration.
     """
+    try:
+        yield from _assignments(instance, constraint, restrict or {}, raw_indexes)
+    except TypeError as error:
+        raise _incomparable(instance, constraint, error) from error
+
+
+def _assignments(
+    instance: DatabaseInstance,
+    constraint: DenialConstraint,
+    restrict: dict[int, list[Tuple]],
+    raw_indexes: Mapping | None,
+) -> Iterator[tuple[Tuple, ...]]:
+    """The backtracking join of :func:`_satisfying_assignments`."""
     constraint.validate(instance.schema)
     n_atoms = len(constraint.relation_atoms)
-    restrict = restrict or {}
     predicates = [_local_predicate(constraint, i) for i in range(n_atoms)]
 
     candidate_cache: dict[int, list[Tuple]] = {}
@@ -253,6 +272,57 @@ def _satisfying_assignments(
                 del bindings[variable]
 
     yield from extend(0)
+
+
+def _incomparable(
+    instance: DatabaseInstance, constraint: DenialConstraint, error: TypeError
+) -> InstanceError:
+    """The structured form of a built-in's ``TypeError``.
+
+    Runs once, after an enumeration failed, and replays the built-ins
+    value by value; the types it prints are the replayed ``TypeError``'s
+    own.  A constant built-in ``x θ c`` blames the first value that does
+    not compare with ``c``.  An order or offset comparison ``x θ y + c``
+    blames the first value of a column that mixes types (one that does
+    not compare with the column's most common type), or, when every
+    column is uniform, names the two columns it cannot compare.
+    """
+
+    def columns(variable: str) -> Iterator[tuple[str, list[Any]]]:
+        for atom in constraint.relation_atoms:
+            relation = instance.schema.relation(atom.relation_name)
+            for position in atom.positions_of(variable):
+                name = f"{relation.name}.{relation.attributes[position].name}"
+                yield name, [t.values[position] for t in instance.tuples(relation.name)]
+
+    def replays() -> Iterator[tuple[str, Callable[..., Any], tuple]]:
+        for builtin in constraint.builtins:
+            for column, values in columns(builtin.variable):
+                for value in values:
+                    yield f"{column} holds {value!r}", builtin.evaluate, (value,)
+        for comparison in constraint.variable_comparisons:
+            if not (comparison.is_order or comparison.offset):
+                continue
+            sides = (list(columns(comparison.left)), list(columns(comparison.right)))
+            for column, values in sides[0] + sides[1]:
+                types = [type(value) for value in values]
+                common = max(dict.fromkeys(types), key=types.count, default=None)
+                for value in values:
+                    if type(value) is not common:
+                        reference = values[types.index(common)]
+                        yield f"{column} holds {value!r}", operator.lt, (value, reference)
+            for left, left_values in sides[0]:
+                for right, right_values in sides[1]:
+                    if left_values and right_values:
+                        culprit = f"{left} and {right} do not compare by {comparison}"
+                        yield culprit, comparison.evaluate, (left_values[0], right_values[0])
+
+    for culprit, replay, args in replays():
+        try:
+            replay(*args)
+        except TypeError as replayed:
+            return InstanceError(f"{constraint.label}: {culprit}: {replayed}")
+    return InstanceError(f"{constraint.label}: cannot evaluate the body: {error}")
 
 
 def _minimal_sets(used_sets: set[frozenset[Tuple]]) -> list[frozenset[Tuple]]:
@@ -443,6 +513,125 @@ def _kernel_violations(join: KernelJoin, constraint: DenialConstraint) -> Violat
     )
 
 
+#: The ``auto`` ladder, fastest engine first.
+AUTO_CHAIN = ("pushdown", "kernel", "interpreted")
+
+
+def engine_chain(
+    engine: str = "auto",
+    *,
+    pushdown: bool = True,
+    kernel: bool | None = None,
+) -> tuple[str, ...]:
+    """The engines one detection call tries, most preferred first.
+
+    An explicit engine is a one-entry chain.  ``auto`` is
+    :data:`AUTO_CHAIN` with pushdown only when ``pushdown`` is true (a
+    backend-resident instance) and the kernel only when ``kernel`` is
+    true (default: NumPy importable); ``interpreted`` takes any data.
+    An unknown name raises :class:`~repro.exceptions.ConfigError`.
+    """
+    if engine not in ENGINES:
+        raise ConfigError(
+            f"unknown detection engine {engine!r}; "
+            f"choose from {'|'.join(ENGINES)}"
+        )
+    if engine != "auto":
+        return (engine,)
+    if kernel is None:
+        kernel = kernel_available()
+    return tuple(
+        name for name, ok in zip(AUTO_CHAIN, (pushdown, kernel, True)) if ok
+    )
+
+
+def _full_chain(engine: str, instance: DatabaseInstance | None) -> tuple[str, ...]:
+    """The chain of a whole-instance query: pushdown needs residency."""
+    resident = engine == "auto" and instance is not None and pushdown_ready(instance)
+    return engine_chain(engine, pushdown=resident)
+
+
+def resolve_engine(engine: str, instance: DatabaseInstance | None = None) -> str:
+    """The first engine a whole-instance detection call with ``engine``
+    tries (pushdown only for a backend-resident ``instance``).  An
+    explicit ``kernel`` request without NumPy raises :class:`KernelError`
+    (NumPy is the optional ``repro[kernel]`` extra).
+    """
+    head = _full_chain(engine, instance)[0]
+    if head == "kernel":
+        require_numpy()  # raises KernelError with the install hint
+    return head
+
+
+def _walk(
+    chain: Sequence[str],
+    run: Callable[..., Any],
+    instance: DatabaseInstance,
+    constraint: DenialConstraint,
+    *args: Any,
+) -> Any:
+    """The one detection dispatch: ``run(engine, instance, constraint,
+    *args)`` down ``chain``.  A refusal (:class:`KernelError` /
+    :class:`PushdownError`) moves on to the next engine and bumps
+    ``engine_downgrades{constraint, engine}``; the last one propagates.
+    """
+    for engine in chain[:-1]:
+        try:
+            return run(engine, instance, constraint, *args)
+        except (KernelError, PushdownError):
+            current_tracer().metrics.counter(
+                "engine_downgrades", constraint=constraint.label, engine=engine
+            ).inc()
+    return run(chain[-1], instance, constraint, *args)
+
+
+def _detect(
+    chain: Sequence[str],
+    run: Callable[..., Any],
+    instance: DatabaseInstance,
+    constraint: DenialConstraint,
+    *args: Any,
+    **tags: Any,
+) -> Sequence[ViolationSet]:
+    """:func:`_walk` in a ``detect:<label>`` span (``tags`` plus the
+    violation count) that bumps ``violations_found`` when tracing."""
+    tracer = current_tracer()
+    if not tracer.enabled:
+        return _walk(chain, run, instance, constraint, *args)
+    with tracer.span(
+        f"detect:{constraint.label}", category="detect", **tags
+    ) as span:
+        violations = _walk(chain, run, instance, constraint, *args)
+        span.tag(violations=len(violations))
+        tracer.metrics.counter(
+            "violations_found", constraint=constraint.label
+        ).inc(len(violations))
+        return violations
+
+
+def _violations_by(
+    engine: str,
+    instance: DatabaseInstance,
+    constraint: DenialConstraint,
+    max_violations: int | None,
+) -> Sequence[ViolationSet]:
+    """``I(D, ic)`` computed by one engine."""
+    if engine == "pushdown":
+        used_sets = pushdown_used_sets(instance, constraint, max_violations)
+        return _ordered_violation_sets(used_sets, constraint)
+    if engine == "kernel":
+        join = kernel_witnesses(instance, constraint, max_violations=max_violations)
+        return _kernel_violations(join, constraint)
+    used_sets = set()
+    for count, assignment in enumerate(
+        _satisfying_assignments(instance, constraint), start=1
+    ):
+        if max_violations is not None and count > max_violations:
+            raise too_many_witnesses(constraint, max_violations)
+        used_sets.add(frozenset(assignment))
+    return _ordered_violation_sets(used_sets, constraint)
+
+
 def find_violations(
     instance: DatabaseInstance,
     constraint: DenialConstraint,
@@ -453,65 +642,14 @@ def find_violations(
 
     ``max_violations`` bounds the number of satisfying assignments explored
     (a safety valve against accidentally cartesian constraints); exceeding
-    it raises :class:`ConstraintError`.  ``engine`` selects the columnar
-    kernel or the interpreted enumeration (see the module docstring).
+    it raises :class:`ConstraintError`.  ``engine`` names the engine
+    chain (see the module docstring).
 
     Under an active tracer each call records a ``detect:<label>`` span
-    tagged with the engine and the violation count, and bumps the
-    ``violations_found{constraint=<label>}`` counter.
+    tagged with the chain's first engine and the violation count, and
+    bumps the ``violations_found{constraint=<label>}`` counter.
     """
-    tracer = current_tracer()
-    if not tracer.enabled:
-        return _find_violations(instance, constraint, max_violations, engine)
-    with tracer.span(
-        f"detect:{constraint.label}",
-        category="detect",
-        engine=resolve_engine(engine, instance),
-    ) as span:
-        violations = _find_violations(instance, constraint, max_violations, engine)
-        span.tag(violations=len(violations))
-        tracer.metrics.counter(
-            "violations_found", constraint=constraint.label
-        ).inc(len(violations))
-        return violations
-
-
-def _find_violations(
-    instance: DatabaseInstance,
-    constraint: DenialConstraint,
-    max_violations: int | None,
-    engine: str,
-) -> Sequence[ViolationSet]:
-    resolved = resolve_engine(engine, instance)
-    if resolved == "pushdown":
-        try:
-            used_sets = pushdown_used_sets(instance, constraint, max_violations)
-        except PushdownError:
-            if engine == "pushdown":
-                raise
-            # auto: this constraint is not faithfully executable in the
-            # backend - fall back to the in-memory engines per constraint.
-            resolved = "kernel" if kernel_available() else "interpreted"
-        else:
-            return _ordered_violation_sets(used_sets, constraint)
-    if resolved == "kernel":
-        try:
-            join = kernel_witnesses(
-                instance, constraint, max_violations=max_violations
-            )
-        except KernelError:
-            if engine == "kernel":
-                raise
-        else:
-            return _kernel_violations(join, constraint)
-    used_sets = set()
-    for count, assignment in enumerate(
-        _satisfying_assignments(instance, constraint), start=1
-    ):
-        if max_violations is not None and count > max_violations:
-            raise too_many_witnesses(constraint, max_violations)
-        used_sets.add(frozenset(assignment))
-    return _ordered_violation_sets(used_sets, constraint)
+    return find_all_violations(instance, (constraint,), max_violations, engine)
 
 
 def find_all_violations(
@@ -525,9 +663,13 @@ def find_all_violations(
     ``max_violations`` and ``engine`` apply per constraint (see
     :func:`find_violations`); results concatenate in constraint order.
     """
+    chain = _full_chain(engine, instance)
     return concat_violations(
         [
-            find_violations(instance, constraint, max_violations, engine)
+            _detect(
+                chain, _violations_by, instance, constraint, max_violations,
+                engine=chain[0],
+            )
             for constraint in constraints
         ]
     )
@@ -559,104 +701,53 @@ def _anchored_first(constraint: DenialConstraint, atom_index: int) -> DenialCons
     )
 
 
-def violations_involving_constraint(
-    instance: DatabaseInstance,
-    constraint: DenialConstraint,
-    anchors: Sequence[Tuple],
-    raw_indexes: Mapping | None = None,
-    engine: str = "auto",
-) -> tuple[ViolationSet, ...]:
-    """One constraint's share of :func:`find_violations_involving`.
+def _anchored_chain(engine: str, raw_indexes: Mapping | None) -> tuple[str, ...]:
+    """The chain of an anchored (Δ-proportional) query.
 
-    The kernel engine pins the anchored atom first in its join order and restricts
-    that atom's candidates to the anchors; ``raw_indexes`` only applies
-    to the interpreted path (the kernel has its own columnar snapshots).
-    Under ``"auto"``, supplying ``raw_indexes`` therefore selects the
-    interpreted path: persistent join indexes make anchored work
-    proportional to the change set, while the kernel would rebuild
-    whole-relation snapshots on every call - pass ``engine="kernel"``
-    to force the kernel anyway.
+    A pushdown query would re-scan the whole backend, so anchored calls
+    never push down: an explicit ``pushdown`` runs the ``auto`` chain.
+    The kernel rebuilds whole-relation snapshots per call, while
+    ``raw_indexes`` (read only by the interpreted engine) keep the work
+    proportional to the change set, so with them ``auto`` is interpreted
+    alone.  ``engine="kernel"`` forces the kernel anyway.
     """
-    tracer = current_tracer()
-    if not tracer.enabled:
-        return _violations_involving_constraint(
-            instance, constraint, anchors, raw_indexes, engine
-        )
-    with tracer.span(
-        f"detect:{constraint.label}",
-        category="detect",
-        anchors=len(anchors),
-    ) as span:
-        violations = _violations_involving_constraint(
-            instance, constraint, anchors, raw_indexes, engine
-        )
-        span.tag(violations=len(violations))
-        tracer.metrics.counter(
-            "violations_found", constraint=constraint.label
-        ).inc(len(violations))
-        return violations
+    if engine == "pushdown":
+        engine = "auto"
+    return engine_chain(
+        engine, pushdown=False, kernel=None if raw_indexes is None else False
+    )
 
 
-def _violations_involving_constraint(
+def _anchored_violations_by(
+    engine: str,
     instance: DatabaseInstance,
     constraint: DenialConstraint,
     anchors: Sequence[Tuple],
     raw_indexes: Mapping | None,
-    engine: str,
 ) -> tuple[ViolationSet, ...]:
-    resolved = resolve_engine(engine)
-    if engine == "auto" and raw_indexes is not None:
-        resolved = "interpreted"
-    if resolved == "pushdown":
-        # Anchored detection is Δ-proportional work; a pushdown query
-        # would re-scan the whole backend (and incremental mutations
-        # sever the binding anyway), so anchored calls always use the
-        # in-memory engines - mirroring the raw_indexes rule above.
-        resolved = "kernel" if kernel_available() else "interpreted"
-    if resolved == "kernel":
-        try:
-            used_sets = anchored_kernel_witnesses(instance, constraint, anchors)
-        except KernelError:
-            if engine == "kernel":
-                raise
-        else:
-            return _ordered_violation_sets(used_sets, constraint)
-    used_sets = anchored_used_sets(instance, constraint, anchors, raw_indexes)
-    return _ordered_violation_sets(used_sets, constraint)
+    """One constraint's anchored violation sets, computed by one engine.
 
-
-def anchored_used_sets(
-    instance: DatabaseInstance,
-    constraint: DenialConstraint,
-    anchors: Sequence[Tuple],
-    raw_indexes: Mapping | None = None,
-) -> set[frozenset[Tuple]]:
-    """Raw anchored witness sets of one constraint (pre-minimality).
-
-    The interpreted anchored enumeration *without* the
-    :func:`_ordered_violation_sets` funnel: the anchored atom is rotated
-    to the front, one pass per atom position, and every satisfying
-    assignment's used tuple set is collected.
+    The interpreted engine rotates each atom to the front in turn,
+    restricted to the anchors of its relation, and collects the used
+    tuple set of every satisfying assignment.
     """
-    used_sets: set[frozenset[Tuple]] = set()
-    for atom_index in range(len(constraint.relation_atoms)):
-        relevant = [
-            t
-            for t in anchors
-            if t.relation.name
-            == constraint.relation_atoms[atom_index].relation_name
-        ]
-        if not relevant:
-            continue
-        reordered = _anchored_first(constraint, atom_index)
-        for assignment in _satisfying_assignments(
-            instance,
-            reordered,
-            restrict={0: relevant},
-            raw_indexes=raw_indexes,
-        ):
-            used_sets.add(frozenset(assignment))
-    return used_sets
+    if engine == "kernel":
+        used_sets = anchored_kernel_witnesses(instance, constraint, anchors)
+    else:
+        used_sets = set()
+        for atom_index, atom in enumerate(constraint.relation_atoms):
+            relevant = [t for t in anchors if t.relation.name == atom.relation_name]
+            if relevant:
+                used_sets.update(
+                    frozenset(assignment)
+                    for assignment in _satisfying_assignments(
+                        instance,
+                        _anchored_first(constraint, atom_index),
+                        restrict={0: relevant},
+                        raw_indexes=raw_indexes,
+                    )
+                )
+    return _ordered_violation_sets(used_sets, constraint)
 
 
 def find_violations_involving(
@@ -675,7 +766,7 @@ def find_violations_involving(
     database.  The anchored atom is moved to the front of the join order;
     with ``raw_indexes`` (see :class:`repro.violations.indexes.JoinIndexCache`)
     the remaining atoms are reached by hash lookups and the full instance
-    is never scanned.
+    is never scanned.  See :func:`_anchored_chain` for the engines tried.
 
     Output is in constraint order, then the deterministic
     within-constraint order.
@@ -687,14 +778,27 @@ def find_violations_involving(
     anchors.
     """
     anchor_list = list(anchors)
+    chain = _anchored_chain(engine, raw_indexes)
     return concat_violations(
         [
-            violations_involving_constraint(
-                instance, constraint, anchor_list, raw_indexes, engine
+            _detect(
+                chain, _anchored_violations_by, instance, constraint,
+                anchor_list, raw_indexes, anchors=len(anchor_list),
             )
             for constraint in constraints
         ]
     )
+
+
+def _has_witness_by(
+    engine: str, instance: DatabaseInstance, constraint: DenialConstraint
+) -> bool:
+    """Whether one engine finds any violation of ``constraint``."""
+    if engine == "pushdown":
+        return pushdown_has_witness(instance, constraint)
+    if engine == "kernel":
+        return kernel_witnesses(instance, constraint).size > 0
+    return any(True for _ in _satisfying_assignments(instance, constraint))
 
 
 def is_consistent(
@@ -709,27 +813,8 @@ def is_consistent(
     consistent backend-resident database is verified without
     materializing anything in Python.
     """
-    for constraint in constraints:
-        resolved = resolve_engine(engine, instance)
-        if resolved == "pushdown":
-            try:
-                if pushdown_has_witness(instance, constraint):
-                    return False
-                continue
-            except PushdownError:
-                if engine == "pushdown":
-                    raise
-                resolved = "kernel" if kernel_available() else "interpreted"
-        if resolved == "kernel":
-            try:
-                join = kernel_witnesses(instance, constraint)
-            except KernelError:
-                if engine == "kernel":
-                    raise
-            else:
-                if join.size:
-                    return False
-                continue
-        for _ in _satisfying_assignments(instance, constraint):
-            return False
-    return True
+    chain = _full_chain(engine, instance)
+    return not any(
+        _walk(chain, _has_witness_by, instance, constraint)
+        for constraint in constraints
+    )

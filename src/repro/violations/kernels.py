@@ -41,13 +41,8 @@ from repro.constraints.plan import (
     compile_plan,
     order_atoms,
 )
-from repro.exceptions import ConfigError, ConstraintError, KernelError
-from repro.model.columnar import (
-    ColumnarRelation,
-    kernel_available,
-    require_numpy,
-    store_for,
-)
+from repro.exceptions import ConstraintError, KernelError
+from repro.model.columnar import ColumnarRelation, require_numpy, store_for
 from repro.model.instance import DatabaseInstance
 from repro.model.tuples import Tuple
 
@@ -56,38 +51,6 @@ ENGINES = ("auto", "kernel", "interpreted", "pushdown")
 #: Largest single-key code the mixed-radix combiner lets through before
 #: re-factorizing (keeps multi-column join keys inside int64).
 _RADIX_LIMIT = 1 << 31
-
-
-def resolve_engine(engine: str, instance: DatabaseInstance | None = None) -> str:
-    """Normalize an engine request to a concrete engine name.
-
-    An unknown name raises :class:`~repro.exceptions.ConfigError` listing
-    the valid choices.  ``auto`` resolves to ``"pushdown"`` when an
-    ``instance`` is supplied and is backend-resident (loaded from a SQL
-    backend and unmodified since, see
-    :mod:`repro.violations.pushdown`); otherwise to the kernel engine
-    exactly when NumPy is importable.  An explicit ``kernel`` request
-    without NumPy raises :class:`KernelError` (NumPy is the optional
-    ``repro[kernel]`` extra, never a hard dependency); an explicit
-    ``pushdown`` request resolves statically here - the binding check
-    happens at execution time, where a missing backend raises
-    :class:`~repro.exceptions.PushdownError`.
-    """
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown detection engine {engine!r}; "
-            f"choose from {'|'.join(ENGINES)}"
-        )
-    if engine == "auto":
-        if instance is not None:
-            from repro.violations.pushdown import pushdown_ready
-
-            if pushdown_ready(instance):
-                return "pushdown"
-        return "kernel" if kernel_available() else "interpreted"
-    if engine == "kernel" and not kernel_available():
-        require_numpy()  # raises KernelError with the install hint
-    return engine
 
 
 def kernel_requirements(

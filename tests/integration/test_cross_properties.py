@@ -84,7 +84,9 @@ def instances(draw):
 def test_sqlite_detection_matches_memory(instance):
     in_memory = find_all_violations(instance, CONSTRAINTS)
     with SqliteBackend.from_instance(instance) as backend:
-        from_sql = backend.find_violations(SCHEMA, CONSTRAINTS)
+        from_sql = find_all_violations(
+            backend.load_instance(SCHEMA), CONSTRAINTS, engine="pushdown"
+        )
     as_labels = lambda vs: {
         (v.constraint.name, frozenset(t.ref for t in v)) for v in vs
     }

@@ -5,6 +5,7 @@ import pytest
 from repro import (
     cardinality_repair,
     database_delta,
+    find_all_violations,
     inconsistency_profile,
     is_consistent,
     repair_database,
@@ -59,7 +60,9 @@ class TestSqliteRoundTrips:
 
         with SqliteBackend(path) as backend:
             instance = backend.load_instance(workload.schema)
-            violations = backend.find_violations(workload.schema, workload.constraints)
+            violations = find_all_violations(
+                instance, workload.constraints, engine="pushdown"
+            )
             result = repair_database(
                 instance, workload.constraints, violations=violations
             )

@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro import DatabaseInstance, IncrementalRepairer, repair_database
+from repro.model.columnar import kernel_available
 from repro.repair.streaming import StreamingRepairer
-from repro.violations.kernels import kernel_available
 from repro.workloads.clientbuy import client_buy_workload
 
 ENGINES = ("auto", "interpreted") + (("kernel",) if kernel_available() else ())

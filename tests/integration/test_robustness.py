@@ -10,6 +10,7 @@ from repro import (
     RepairError,
     Schema,
     parse_denial,
+    find_all_violations,
     parse_denials,
     repair_database,
 )
@@ -114,7 +115,11 @@ class TestSqliteFailureInjection:
     def test_violation_query_on_missing_table(self, paper):
         backend = SqliteBackend()        # no tables created
         with pytest.raises(BackendError):
-            backend.find_violations(paper.schema, paper.constraints)
+            find_all_violations(
+                backend.load_instance(paper.schema),
+                paper.constraints,
+                engine="pushdown",
+            )
 
     def test_export_after_close(self, paper):
         backend = SqliteBackend.from_instance(paper.instance)

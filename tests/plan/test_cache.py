@@ -9,7 +9,7 @@ import pytest
 from repro import parse_denials
 from repro.exceptions import PlanError
 from repro.obs.trace import Tracer
-from repro.plan import PlanCache, compile_program, default_cache_dir
+from repro.plan import PlanCache, compile_program, compiler, default_cache_dir
 from repro.workloads.clientbuy import CLIENT_BUY_CONSTRAINTS, client_buy_schema
 from repro.workloads.finance import FINANCE_CONSTRAINTS, finance_schema
 
@@ -36,11 +36,15 @@ class TestCacheKeying:
         assert path.parent == tmp_path
         assert path.name.startswith(program.fingerprint)
 
-    def test_availability_flip_is_a_different_key(self, tmp_path, inputs):
+    def test_availability_flip_is_a_different_key(
+        self, tmp_path, inputs, monkeypatch
+    ):
         schema, constraints = inputs
         cache = PlanCache(tmp_path)
-        cache.get_or_compile(schema, constraints, kernel=True)
-        _, hit = cache.get_or_compile(schema, constraints, kernel=False)
+        monkeypatch.setattr(compiler, "kernel_available", lambda: True)
+        cache.get_or_compile(schema, constraints)
+        monkeypatch.setattr(compiler, "kernel_available", lambda: False)
+        _, hit = cache.get_or_compile(schema, constraints)
         assert not hit  # same program, different availability -> recompile
         assert len(list(tmp_path.glob("*.json"))) == 2
 

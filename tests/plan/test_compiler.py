@@ -6,13 +6,14 @@ import pytest
 
 from repro import parse_denials, repair_database
 from repro.exceptions import PlanError
+from repro.model.columnar import kernel_available
 from repro.plan import (
     DOWNGRADED,
     ELIMINATED,
     compile_program,
+    compiler,
     default_availability,
 )
-from repro.violations.kernels import kernel_available
 from repro.workloads.clientbuy import (
     CLIENT_BUY_CONSTRAINTS,
     client_buy_schema,
@@ -81,20 +82,22 @@ class TestElimination:
 
 
 class TestEngineClassification:
-    def test_chains_ranked_and_end_interpreted(self):
+    def test_chains_ranked_and_end_interpreted(self, monkeypatch):
+        monkeypatch.setattr(compiler, "kernel_available", lambda: True)
         schema = client_buy_schema()
         constraints = parse_denials(CLIENT_BUY_CONSTRAINTS)
-        program = compile_program(schema, constraints, kernel=True, pushdown=True)
+        program = compile_program(schema, constraints)
         for entry in program.executed_entries:
             assert entry.engines == ("pushdown", "kernel", "interpreted")
             assert entry.cost["work"] > 0
             scores = entry.cost["scores"]
             assert scores["pushdown"] < scores["kernel"] < scores["interpreted"]
 
-    def test_unavailable_kernel_dropped_with_lint061(self):
+    def test_unavailable_kernel_dropped_with_lint061(self, monkeypatch):
+        monkeypatch.setattr(compiler, "kernel_available", lambda: False)
         schema = client_buy_schema()
         constraints = parse_denials(CLIENT_BUY_CONSTRAINTS)
-        program = compile_program(schema, constraints, kernel=False, pushdown=True)
+        program = compile_program(schema, constraints)
         for entry in program.executed_entries:
             assert "kernel" not in entry.engines
             assert entry.engines[-1] == "interpreted"
@@ -102,19 +105,23 @@ class TestEngineClassification:
         assert len(downgrades) == len(program.executed_entries)
         assert all(d.details["engine"] == "kernel" for d in downgrades)
 
-    def test_no_engines_available_still_interpreted(self):
+    def test_no_engines_available_still_interpreted(self, monkeypatch):
+        monkeypatch.setattr(
+            compiler,
+            "default_availability",
+            lambda: {"kernel": False, "pushdown": False},
+        )
         schema = client_buy_schema()
         constraints = parse_denials(CLIENT_BUY_CONSTRAINTS)
-        program = compile_program(
-            schema, constraints, kernel=False, pushdown=False
-        )
+        program = compile_program(schema, constraints)
         for entry in program.executed_entries:
             assert entry.engines == ("interpreted",)
 
-    def test_conditional_constraint_marked(self):
+    def test_conditional_constraint_marked(self, monkeypatch):
+        monkeypatch.setattr(compiler, "kernel_available", lambda: True)
         schema = client_buy_schema()
         constraints = parse_denials(CONDITIONAL_CONSTRAINT)
-        program = compile_program(schema, constraints, kernel=True, pushdown=True)
+        program = compile_program(schema, constraints)
         (entry,) = program.executed_entries
         assert set(entry.conditional) == {"kernel", "pushdown"}
         # conditional engines stay in the chain: fallback preserved
@@ -144,12 +151,13 @@ class TestStrict:
         program = compile_program(schema, constraints, strict=True)
         assert all(e.conditional == () for e in program.executed_entries)
 
-    def test_environment_gap_is_not_a_strict_failure(self):
+    def test_environment_gap_is_not_a_strict_failure(self, monkeypatch):
         """A missing optional dependency says nothing about the
         constraint; strict only gates data-dependent classification."""
+        monkeypatch.setattr(compiler, "kernel_available", lambda: False)
         schema = client_buy_schema()
         constraints = parse_denials(CLIENT_BUY_CONSTRAINTS)
-        compile_program(schema, constraints, kernel=False, strict=True)
+        compile_program(schema, constraints, strict=True)
 
     def test_tpch_tq6_blocks_strict(self):
         schema = tpch_like_schema()

@@ -23,9 +23,9 @@ from repro import (
 )
 from repro.constraints.atoms import BuiltinAtom, Comparator, RelationAtom
 from repro.constraints.denial import DenialConstraint
+from repro.model.columnar import kernel_available
 from repro.plan import compile_program
 from repro.repair.streaming import StreamingRepairer
-from repro.violations.kernels import kernel_available
 from repro.workloads.clientbuy import client_buy_workload
 
 SCHEMA = Schema(

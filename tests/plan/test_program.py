@@ -13,6 +13,7 @@ from repro.plan import (
     STALE,
     CompiledProgram,
     compile_program,
+    compiler,
     program_fingerprint,
 )
 from repro.plan.program import availability_signature
@@ -59,11 +60,13 @@ class TestFingerprint:
             schema, constraints[:-1]
         )
 
-    def test_availability_not_in_fingerprint(self):
+    def test_availability_not_in_fingerprint(self, monkeypatch):
         """A dependency flip re-keys the cache, not the program."""
         schema, constraints = _clientbuy()
-        with_kernel = compile_program(schema, constraints, kernel=True)
-        without = compile_program(schema, constraints, kernel=False)
+        monkeypatch.setattr(compiler, "kernel_available", lambda: True)
+        with_kernel = compile_program(schema, constraints)
+        monkeypatch.setattr(compiler, "kernel_available", lambda: False)
+        without = compile_program(schema, constraints)
         assert with_kernel.fingerprint == without.fingerprint
         assert (
             with_kernel.availability_signature != without.availability_signature

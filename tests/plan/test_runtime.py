@@ -1,16 +1,17 @@
-"""Planned detection: chain execution, runtime refusal fallback, decomposition."""
+"""Planned detection: dead-constraint filter, the shared engine ladder, decomposition."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import parse_denials, repair_database
-from repro.exceptions import KernelError, PlanError
+from repro.exceptions import KernelError, PlanError, PushdownError
 from repro.obs.trace import Tracer
-from repro.plan import compile_program, planned_find_all_violations
-from repro.plan.runtime import effective_chain, planned_find_violations
-from repro.violations.detector import find_all_violations
-from repro.workloads.clientbuy import CLIENT_BUY_CONSTRAINTS, client_buy_workload
+from repro.plan import CompiledProgram, compile_program, planned_find_all_violations
+from repro.storage import SqliteBackend
+from repro.violations import detector
+from repro.violations.detector import engine_chain, find_all_violations
+from repro.workloads.clientbuy import client_buy_workload
 
 
 @pytest.fixture(scope="module")
@@ -18,19 +19,31 @@ def workload():
     return client_buy_workload(60, inconsistency_ratio=0.5, seed=7)
 
 
+def _downgrades(tracer: Tracer, constraint, engine: str) -> int:
+    return tracer.metrics.counter(
+        "engine_downgrades", constraint=constraint.label, engine=engine
+    ).value
+
+
 class TestEffectiveChain:
     def test_pushdown_dropped_off_backend(self, workload):
         """A memory instance can never serve pushdown; the step is
-        removed statically instead of refusing once per round."""
-        chain = ("pushdown", "kernel", "interpreted")
-        assert effective_chain(chain, workload.instance) == (
+        left out of the chain instead of refusing once per round."""
+        program = compile_program(workload.schema, workload.constraints)
+        assert program.entries[0].engines[0] == "pushdown"
+        tracer = Tracer()
+        with tracer.activate():
+            planned_find_all_violations(
+                workload.instance, workload.constraints, program
+            )
+        for constraint in workload.constraints:
+            assert _downgrades(tracer, constraint, "pushdown") == 0
+
+    def test_chain_without_pushdown_untouched(self):
+        assert engine_chain(pushdown=False, kernel=True) == (
             "kernel",
             "interpreted",
         )
-
-    def test_chain_without_pushdown_untouched(self, workload):
-        chain = ("kernel", "interpreted")
-        assert effective_chain(chain, workload.instance) == chain
 
 
 class TestPlannedFindViolations:
@@ -43,54 +56,51 @@ class TestPlannedFindViolations:
         assert got == expected
 
     def test_empty_chain_is_a_corrupt_plan(self, workload):
-        with pytest.raises(PlanError, match="empty"):
-            planned_find_violations(
-                workload.instance, workload.constraints[0], ("pushdown",)
-            )
+        """A hand-edited artifact with an empty executed chain is
+        refused when it is loaded, before any run uses it."""
+        data = compile_program(workload.schema, workload.constraints).to_dict()
+        data["entries"][0]["engines"] = []
+        with pytest.raises(PlanError, match="corrupt plan"):
+            CompiledProgram.from_dict(data)
 
     def test_runtime_refusal_falls_through_and_is_recorded(
         self, workload, monkeypatch
     ):
         """An engine that refuses at execution time falls through to the
         next chain entry; the downgrade lands on the
-        ``plan_engine_downgrades`` counter."""
-        import repro.plan.runtime as runtime_module
+        ``engine_downgrades`` counter."""
 
-        real = runtime_module.find_violations
+        def refusing_pushdown(*args, **kwargs):
+            raise PushdownError("synthetic refusal")
 
-        def refusing_kernel(instance, constraint, max_violations, engine):
-            if engine == "kernel":
-                raise KernelError("synthetic refusal")
-            return real(instance, constraint, max_violations, engine)
-
-        monkeypatch.setattr(runtime_module, "find_violations", refusing_kernel)
-        constraint = workload.constraints[0]
-        expected = real(workload.instance, constraint, None, "interpreted")
-        tracer = Tracer()
-        with tracer.activate():
-            got = planned_find_violations(
-                workload.instance, constraint, ("kernel", "interpreted")
-            )
-        assert got == expected
-        downgrades = tracer.metrics.counter(
-            "plan_engine_downgrades",
-            constraint=constraint.label,
-            engine="kernel",
+        program = compile_program(workload.schema, workload.constraints)
+        expected = find_all_violations(
+            workload.instance, workload.constraints, engine="interpreted"
         )
-        assert downgrades.value == 1
+        monkeypatch.setattr(detector, "pushdown_used_sets", refusing_pushdown)
+        tracer = Tracer()
+        with SqliteBackend.from_instance(workload.instance) as backend:
+            loaded = backend.load_instance(workload.schema)
+            with tracer.activate():
+                got = planned_find_all_violations(
+                    loaded, workload.constraints, program
+                )
+        assert got == expected
+        for constraint in workload.constraints:
+            assert _downgrades(tracer, constraint, "pushdown") == 1
 
     def test_last_engine_refusal_propagates(self, workload, monkeypatch):
         """Only earlier chain entries absorb refusals; a refusal from
         the final engine is a real error, not silence."""
-        import repro.plan.runtime as runtime_module
 
-        def always_refuse(instance, constraint, max_violations, engine):
+        def refusing_kernel(*args, **kwargs):
             raise KernelError("synthetic refusal")
 
-        monkeypatch.setattr(runtime_module, "find_violations", always_refuse)
+        program = compile_program(workload.schema, workload.constraints)
+        monkeypatch.setattr(detector, "kernel_witnesses", refusing_kernel)
         with pytest.raises(KernelError):
-            planned_find_violations(
-                workload.instance, workload.constraints[0], ("kernel",)
+            planned_find_all_violations(
+                workload.instance, workload.constraints, program, engine="kernel"
             )
 
 

@@ -77,7 +77,11 @@ class TestBackend:
             workload.instance, workload.constraints, engine="interpreted"
         )
         with DuckDBBackend.from_instance(workload.instance) as backend:
-            from_sql = backend.find_violations(workload.schema, workload.constraints)
+            from_sql = find_all_violations(
+                backend.load_instance(workload.schema),
+                workload.constraints,
+                engine="pushdown",
+            )
         as_labels = lambda vs: {
             (v.constraint.name, frozenset(t.ref for t in v)) for v in vs
         }

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import BackendError, repair_database
+from repro import BackendError, find_all_violations, repair_database
+from repro.exceptions import PushdownError
 from repro.storage import ExportMode, MemoryBackend
 
 
@@ -26,9 +27,12 @@ class TestMemoryBackend:
             backend.load_instance(deletion_demo.schema)
 
     def test_find_violations(self, paper):
-        backend = MemoryBackend(paper.instance)
-        violations = backend.find_violations(paper.schema, paper.constraints)
-        assert len(violations) == 3
+        """Detection runs on the loaded copy; the memory backend runs no
+        SQL, so the pushdown engine refuses its instances."""
+        loaded = MemoryBackend(paper.instance).load_instance(paper.schema)
+        assert len(find_all_violations(loaded, paper.constraints)) == 3
+        with pytest.raises(PushdownError):
+            find_all_violations(loaded, paper.constraints, engine="pushdown")
 
     def test_export_update_replaces_instance(self, paper):
         backend = MemoryBackend(paper.instance)
@@ -36,7 +40,8 @@ class TestMemoryBackend:
         note = backend.export_repair(result, ExportMode.UPDATE)
         assert "updated" in note
         assert backend.instance == result.repaired
-        assert backend.find_violations(paper.schema, paper.constraints) == ()
+        loaded = backend.load_instance(paper.schema)
+        assert find_all_violations(loaded, paper.constraints) == ()
 
     def test_export_insert_records_copy(self, paper):
         backend = MemoryBackend(paper.instance)

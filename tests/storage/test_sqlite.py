@@ -1,4 +1,8 @@
-"""Unit tests for the sqlite backend (Algorithm 2's SQL views + exports)."""
+"""Unit tests for the sqlite backend (Algorithm 2's SQL views + exports).
+
+In-database detection is the ``pushdown`` engine over an instance the
+backend loaded: ``find_all_violations(loaded, ..., engine="pushdown")``.
+"""
 
 import pytest
 
@@ -43,7 +47,11 @@ class TestRoundTrip:
 
 class TestSqlViolationDetection:
     def test_matches_in_memory_detector(self, paper_pub, backend):
-        from_sql = backend.find_violations(paper_pub.schema, paper_pub.constraints)
+        from_sql = find_all_violations(
+            backend.load_instance(paper_pub.schema),
+            paper_pub.constraints,
+            engine="pushdown",
+        )
         in_memory = find_all_violations(paper_pub.instance, paper_pub.constraints)
         assert len(from_sql) == len(in_memory) == 4
         as_labels = lambda vs: {
@@ -54,7 +62,11 @@ class TestSqlViolationDetection:
     def test_matches_on_random_workload(self):
         workload = client_buy_workload(30, inconsistency_ratio=0.5, seed=4)
         with SqliteBackend.from_instance(workload.instance) as backend:
-            from_sql = backend.find_violations(workload.schema, workload.constraints)
+            from_sql = find_all_violations(
+                backend.load_instance(workload.schema),
+                workload.constraints,
+                engine="pushdown",
+            )
         in_memory = find_all_violations(workload.instance, workload.constraints)
         as_labels = lambda vs: {
             (v.constraint.name, frozenset(t.ref for t in v)) for v in vs
@@ -68,7 +80,11 @@ class TestSqlViolationDetection:
             paper.schema, {"Paper": [("E3", 1, 70, 1)]}
         )
         with SqliteBackend.from_instance(consistent) as backend:
-            assert backend.find_violations(paper.schema, paper.constraints) == ()
+            loaded = backend.load_instance(paper.schema)
+            assert (
+                find_all_violations(loaded, paper.constraints, engine="pushdown")
+                == ()
+            )
 
 
 class TestExports:
@@ -76,8 +92,12 @@ class TestExports:
         result = repair_database(paper_pub.instance, paper_pub.constraints)
         note = backend.export_repair(result, ExportMode.UPDATE)
         assert "rows in place" in note
-        assert backend.load_instance(paper_pub.schema) == result.repaired
-        assert backend.find_violations(paper_pub.schema, paper_pub.constraints) == ()
+        loaded = backend.load_instance(paper_pub.schema)
+        assert loaded == result.repaired
+        assert (
+            find_all_violations(loaded, paper_pub.constraints, engine="pushdown")
+            == ()
+        )
 
     def test_insert_new_tables(self, paper_pub, backend):
         result = repair_database(paper_pub.instance, paper_pub.constraints)

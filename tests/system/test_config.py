@@ -83,6 +83,46 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             RepairConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("violation_detection", "sql"),
+            ("violation_detection", "memory"),
+            ("detection_engine", "pushdown"),
+        ],
+    )
+    def test_violation_detection_points_to_runtime_engine(self, key, value):
+        """The retired key (or a top-level look-alike) fails with the
+        migration hint: in-database detection is runtime.engine
+        "pushdown"."""
+        data = minimal_config()
+        data[key] = value
+        with pytest.raises(ConfigError, match="runtime.engine") as exc:
+            RepairConfig.from_dict(data)
+        assert "pushdown" in str(exc.value)
+
+    def test_unknown_top_level_key_rejected(self):
+        data = minimal_config()
+        data["algoritm"] = "greedy"
+        with pytest.raises(ConfigError, match="algoritm") as exc:
+            RepairConfig.from_dict(data)
+        assert "'algorithm'" in str(exc.value)
+
+    def test_every_documented_top_level_key_accepted(self):
+        data = minimal_config()
+        data.update(
+            algorithm="greedy",
+            metric="l1",
+            export={"mode": "update"},
+            repair_semantics="update",
+            table_weights={},
+            runtime={"engine": "auto"},
+            lint={"preflight": False},
+            plan=False,
+            service=False,
+        )
+        assert RepairConfig.from_dict(data).algorithm == "greedy"
+
     def test_bad_constraint_text(self):
         data = minimal_config()
         data["constraints"] = ["NOT(Client(id, a, c), a <"]

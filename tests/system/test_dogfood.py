@@ -20,6 +20,9 @@ tpch        0                     0                1  (tq6 is conditional)
 
 ``repro-repair CONFIG`` with a retired worker-pool option
 (``--parallel process``, ``--max-workers N``) is a usage error: exit 2.
+A config that still carries the retired ``violation_detection`` key, or
+data a constraint's built-in cannot compare (``Buy.i = "0"`` against
+``i < 1``), exits 1 with a one-line ``error:`` and no traceback.
 """
 
 from __future__ import annotations
@@ -121,3 +124,49 @@ def test_retired_pool_options_exit_2(
         main([str(config), *args])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+BUY_SCHEMA = {
+    "relations": [
+        {
+            "name": "Buy",
+            "key": ["id", "i"],
+            "attributes": [
+                {"name": "id"},
+                {"name": "i"},
+                {"name": "p", "flexible": True},
+            ],
+        }
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "extra, rows, needle",
+    [
+        ({"violation_detection": "sql"}, [[1, 0, 50]], "runtime.engine"),
+        ({}, [[1, "0", 50], [2, 1, 50]], "Buy.i"),
+    ],
+    ids=["violation-detection-key", "incomparable-buy-i"],
+)
+def test_structured_errors_exit_1(
+    extra: "dict", rows: "list", needle: str, tmp_path, capsys: pytest.CaptureFixture
+) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "schema": BUY_SCHEMA,
+                "constraints": ["h1: NOT(Buy(id, i, p), i < 1, p > 40)"],
+                "source": {"backend": "memory", "rows": {"Buy": rows}},
+                **extra,
+            }
+        )
+    )
+    rc = main([str(config)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert needle in lines[0]
+    assert "Traceback" not in captured.err + captured.out

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import is_consistent
+from repro import find_all_violations, is_consistent
 from repro.storage import SqliteBackend
 from repro.system import RepairConfig, RepairProgram
 from repro.workloads import client_buy_workload
@@ -89,7 +89,7 @@ class TestSqlitePipeline:
             {
                 "schema": CLIENT_BUY_SCHEMA,
                 "constraints": CLIENT_BUY_ICS,
-                "violation_detection": "sql",
+                "runtime": {"engine": "pushdown"},
                 "source": {"backend": "sqlite", "path": str(path)},
                 "export": {"mode": "update"},
             }
@@ -99,10 +99,13 @@ class TestSqlitePipeline:
         program = RepairProgram(sqlite_config)
         report = program.run()
         assert report.result.verified
+        assert report.result.solver_stats["detection_engine"] == "pushdown"
         with SqliteBackend(sqlite_config.source["path"]) as check:
             assert (
-                check.find_violations(
-                    sqlite_config.schema, sqlite_config.constraints
+                find_all_violations(
+                    check.load_instance(sqlite_config.schema),
+                    sqlite_config.constraints,
+                    engine="pushdown",
                 )
                 == ()
             )
@@ -125,23 +128,22 @@ class TestSqlitePipeline:
     ):
         program = RepairProgram(sqlite_config)
         instance = program.load()
-        args = (sqlite_config.schema, sqlite_config.constraints)
-        assert program.backend.find_violations(
-            *args, instance
-        ) == program.backend.find_violations(*args)
+        fresh = program.backend.load_instance(sqlite_config.schema)
+        constraints = sqlite_config.constraints
+        assert find_all_violations(
+            instance, constraints, engine="pushdown"
+        ) == find_all_violations(fresh, constraints, engine="pushdown")
 
     def test_sql_and_memory_detection_agree(self, sqlite_config):
         program = RepairProgram(sqlite_config)
         instance = program.load()
-        sql_violations = program.backend.find_violations(
-            sqlite_config.schema, sqlite_config.constraints
+        sql_violations = find_all_violations(
+            instance, sqlite_config.constraints, engine="pushdown"
         )
-        from repro import find_all_violations
-
         memory_violations = find_all_violations(
-            instance, sqlite_config.constraints
+            instance, sqlite_config.constraints, engine="interpreted"
         )
-        assert len(sql_violations) == len(memory_violations)
+        assert sql_violations == memory_violations
 
 
 class TestLintPreflight:

@@ -22,8 +22,8 @@ from repro.violations.detector import (
     find_violations,
     find_violations_involving,
     is_consistent,
+    resolve_engine,
 )
-from repro.violations.kernels import resolve_engine
 from repro.workloads import client_buy_workload, random_detection_workload
 
 pytestmark = pytest.mark.skipif(

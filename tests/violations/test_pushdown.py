@@ -22,8 +22,8 @@ from repro.violations.detector import (
     find_all_violations,
     find_violations,
     is_consistent,
+    resolve_engine,
 )
-from repro.violations.kernels import resolve_engine
 from repro.workloads import client_buy_workload
 
 
@@ -262,3 +262,40 @@ class TestFaithfulnessGuards:
         assert equal == find_violations(
             instance, self.EQUALITY, engine="interpreted"
         )
+
+    def test_null_join_key_repair(self):
+        """A violating client whose ``id`` and ``Buy.id``s are NULL:
+        ``None == None`` joins in Python, ``NULL = NULL`` does not in SQL.
+        ``auto`` falls back and repairs every violation (verified);
+        explicit pushdown refuses, naming the column."""
+        workload = client_buy_workload(30, seed=3)
+        rows = {
+            relation.name: [t.values for t in workload.instance.tuples(relation.name)]
+            for relation in workload.schema
+        }
+        victim = next(
+            client[0]
+            for client in rows["Client"]
+            if client[1] < 18
+            and any(buy[0] == client[0] and buy[2] > 25 for buy in rows["Buy"])
+        )
+        for name in ("Client", "Buy"):
+            rows[name] = [
+                (None,) + row[1:] if row[0] == victim else row for row in rows[name]
+            ]
+        instance = DatabaseInstance.from_rows(workload.schema, rows)
+        expected = find_all_violations(
+            instance, workload.constraints, engine="interpreted"
+        )
+        with SqliteBackend.from_instance(instance) as backend:
+            result = repair_database(
+                backend.load_instance(workload.schema), workload.constraints
+            )
+            assert result.verified
+            assert result.violations_before == len(expected)
+            with pytest.raises(PushdownError, match="Buy.id"):
+                repair_database(
+                    backend.load_instance(workload.schema),
+                    workload.constraints,
+                    engine="pushdown",
+                )
